@@ -1097,31 +1097,51 @@ def run_batch_throughput(
 # ---------------------------------------------------------------------------
 
 
-def _noop_check_cost(iterations: int = 200_000) -> float:
-    """Seconds per disabled-mode instrumentation check.
+def _noop_check_cost(
+    iterations: int = 20_000, repeats: int = 25
+) -> Tuple[float, float, float]:
+    """Seconds per disabled-mode site: ``(check, bare phase, attrs phase)``.
 
-    Measures a loop over ``if OBS.enabled`` / ``if OBS.tracing`` pairs
-    minus the same loop with nothing in the body, clamped at zero (the
-    difference is near timer resolution on fast machines).
+    A metric site costs one ``if OBS.enabled`` check.  A phase site runs
+    ``with obs.phase(name, **attrs):`` against the shared no-op: timed
+    bare (``hash``) and with the attrs of the widest real site
+    (``verify.chain``).  Each is the best of ``repeats`` loops minus the
+    best empty loop, clamped at zero (the check is near timer
+    resolution).
     """
+    from repro import obs
     from repro.obs import OBS
 
+    if OBS.timing:
+        raise AssertionError("must be disabled during the microbench")
     r = range(iterations)
+    best = [float("inf")] * 4
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in r:
+            pass
+        best[0] = min(best[0], time.perf_counter() - start)
 
-    start = time.perf_counter()
-    for _ in r:
-        pass
-    empty_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in r:
+            if OBS.enabled:
+                raise AssertionError("must be disabled during the microbench")
+        best[1] = min(best[1], time.perf_counter() - start)
 
-    start = time.perf_counter()
-    for _ in r:
-        if OBS.enabled:
-            raise AssertionError("must be disabled during the microbench")
-        if OBS.tracing:
-            raise AssertionError("must be disabled during the microbench")
-    checked_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in r:
+            with obs.phase("hash"):
+                pass
+        best[2] = min(best[2], time.perf_counter() - start)
 
-    return max(0.0, (checked_s - empty_s) / iterations / 2)
+        start = time.perf_counter()
+        for _ in r:
+            with obs.phase("verify.chain", object_id="obj", records=1):
+                pass
+        best[3] = min(best[3], time.perf_counter() - start)
+
+    empty_s = best[0]
+    return tuple(max(0.0, (t - empty_s) / iterations) for t in best[1:])
 
 
 def run_obs_overhead(
@@ -1144,16 +1164,20 @@ def run_obs_overhead(
     branch checks on the same path), multiply by the measured cost of one
     ``if OBS.enabled`` check, and divide by the disabled-run wall time.
     A third arm runs each workload with the phase profiler attached
-    (metrics off): its call count bounds the profiler's disabled-mode
-    ``OBS.profiler is None`` checks the same way, and the guarded bound
-    is the *sum* of both layers' bounds.  The guard fails the benchmark
-    when that bound exceeds ``max_disabled_overhead`` (default 2%).
+    (metrics off): its per-phase call counts are exactly the
+    ``obs.phase`` sites the disabled path runs.  Each is charged the
+    measured cost of a disabled ``with obs.phase(...)`` scope — with
+    attrs for a phase some site enters with span attrs, bare otherwise
+    — and the guarded bound is the *sum* of both layers' bounds.  The
+    guard fails the benchmark when that bound exceeds
+    ``max_disabled_overhead`` (default 2%).
     """
     import os
     import tempfile
 
     from repro import obs
     from repro.core.verifier import Verifier
+    from repro.obs.profile import PHASE_SINKS
     from repro.provenance.store import SQLiteProvenanceStore
 
     result = ExperimentResult(
@@ -1178,7 +1202,9 @@ def run_obs_overhead(
     def verify_workload() -> None:
         verifier.verify_records(verify_records)
 
-    check_s = _noop_check_cost()
+    check_s, bare_s, attrs_s = _noop_check_cost()
+    # Span-declaring rows are the sites that pass attrs.
+    attrs_phases = {sinks.profile for sinks in PHASE_SINKS.values() if sinks.span}
 
     arms = {}
     for name, workload in (("append", append_workload), ("verify", verify_workload)):
@@ -1192,18 +1218,21 @@ def run_obs_overhead(
         calls = obs.OBS.registry.calls / max(1, runs)
         obs.disable(reset=True)
 
-        # Profiler arm: metrics off, phase profiler on.  The call count
-        # is exactly how many `OBS.profiler is None` checks the disabled
-        # path performs on the same workload, so it bounds the profiler's
-        # disabled-mode cost the same way `registry.calls` bounds the
-        # metrics layer's.
+        # Profiler arm: metrics off, phase profiler on.  Every profiled
+        # phase is entered by one `obs.phase` site, so the per-phase call
+        # counts are the disabled `with obs.phase(...)` scopes the same
+        # workload runs.
         prof = obs.enable_profile(reset=True)
         prof_on_s = min(measure(workload, runs=runs).samples)
         profile_calls = prof.total_calls() / max(1, runs)
+        phase_cost_s = sum(
+            stat["calls"] * (attrs_s if phase in attrs_phases else bare_s)
+            for phase, stat in prof.snapshot().items()
+        ) / max(1, runs)
         obs.disable_profile()
 
         metrics_bound = (calls * check_s) / off_s if off_s else 0.0
-        profiler_bound = (profile_calls * check_s) / off_s if off_s else 0.0
+        profiler_bound = phase_cost_s / off_s if off_s else 0.0
         disabled_bound = metrics_bound + profiler_bound
         enabled_delta = (on_s - off_s) / off_s if off_s else 0.0
         arms[name] = {
@@ -1229,10 +1258,11 @@ def run_obs_overhead(
     worst_bound = max(arm["disabled_overhead_bound"] for arm in arms.values())
     guard_ok = worst_bound <= max_disabled_overhead
     result.note(
-        f"one disabled check costs ~{check_s * 1e9:.1f} ns; the disabled "
-        "bound assumes every metric-accessor hit and every profiler phase "
-        "entry were a branch check on the disabled path (a strict "
-        "overestimate)"
+        f"one disabled check costs ~{check_s * 1e9:.1f} ns, one disabled "
+        f"obs.phase scope ~{bare_s * 1e9:.1f} ns bare / "
+        f"~{attrs_s * 1e9:.1f} ns with attrs; the disabled bound charges a "
+        "check per metric-accessor hit (a strict overestimate) and a scope "
+        "per profiler phase entry"
     )
     result.note(
         f"GUARD {'OK' if guard_ok else 'FAILED'}: worst disabled-mode bound "
@@ -1248,6 +1278,7 @@ def run_obs_overhead(
             "key_bits": key_bits,
         },
         "noop_check_ns": check_s * 1e9,
+        "noop_phase_ns": {"bare": bare_s * 1e9, "attrs": attrs_s * 1e9},
         "arms": arms,
         "guard": {
             "max_disabled_overhead": max_disabled_overhead,

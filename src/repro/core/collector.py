@@ -18,6 +18,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.backend.events import AggregateEvent, OperationEvent, UpdateEvent
 from repro.backend.interface import ForestStore
 from repro.core import checksum as payloads
@@ -444,55 +445,43 @@ class ChecksumCollector:
         )
 
     def _flush_staging(self) -> Tuple[ProvenanceRecord, ...]:
-        if OBS.tracing:
-            # The flush span nests under whatever is open on this thread
-            # — for a served request, the handler's http.request span,
-            # itself parented on the client's traceparent context — so
-            # the collector leg shows up in the distributed trace tree.
-            with OBS.tracer.span("collector.flush", staged=len(self._staged)):
-                return self._flush_staging_profiled()
-        return self._flush_staging_profiled()
-
-    def _flush_staging_profiled(self) -> Tuple[ProvenanceRecord, ...]:
-        prof = OBS.profiler
-        if prof is None:
-            return self._flush_staging_impl()
-        with prof.phase("collector.flush"):
-            return self._flush_staging_impl()
-
-    def _flush_staging_impl(self) -> Tuple[ProvenanceRecord, ...]:
-        records = self._seal_staged()
-        if OBS.enabled:
-            reg = OBS.registry
-            reg.counter("collector.records.flushed").inc(len(records))
-            reg.counter("collector.records.inherited").inc(
-                sum(1 for record in records if record.inherited)
-            )
-            # Fan-out: records produced by one operation (§4.2's inherited
-            # propagation makes this > 1 for nested objects).
-            reg.histogram("collector.fanout").observe(len(records))
-        log = OBS.events
-        if log is not None:
-            # One correlation id per flush: the collector.flush event and
-            # the store.batch (and any verify.report consuming the same
-            # operation) emitted inside this scope share it, threading
-            # collector -> store -> verifier through the event stream.
-            # When a caller already opened a correlation scope — the HTTP
-            # front end opens one per request — the flush *joins* it
-            # instead of minting a fresh id, so one request's events read
-            # as one causal chain: http.request -> collector.flush ->
-            # store.batch.
-            from repro.obs.events import current_correlation
-
-            with log.correlation(current_correlation()):
-                log.emit(
-                    "collector.flush",
-                    records=len(records),
-                    objects=len({record.object_id for record in records}),
-                    inherited=sum(1 for r in records if r.inherited),
+        # The flush span nests under whatever is open on this thread —
+        # for a served request, the handler's http.request span, itself
+        # parented on the client's traceparent context — so the collector
+        # leg shows up in the distributed trace tree.
+        with obs.phase("collector.flush", staged=len(self._staged)):
+            records = self._seal_staged()
+            if OBS.enabled:
+                reg = OBS.registry
+                reg.counter("collector.records.flushed").inc(len(records))
+                reg.counter("collector.records.inherited").inc(
+                    sum(1 for record in records if record.inherited)
                 )
-                return self._flush_to_store(records)
-        return self._flush_to_store(records)
+                # Fan-out: records produced by one operation (§4.2's inherited
+                # propagation makes this > 1 for nested objects).
+                reg.histogram("collector.fanout").observe(len(records))
+            log = OBS.events
+            if log is not None:
+                # One correlation id per flush: the collector.flush event and
+                # the store.batch (and any verify.report consuming the same
+                # operation) emitted inside this scope share it, threading
+                # collector -> store -> verifier through the event stream.
+                # When a caller already opened a correlation scope — the HTTP
+                # front end opens one per request — the flush *joins* it
+                # instead of minting a fresh id, so one request's events read
+                # as one causal chain: http.request -> collector.flush ->
+                # store.batch.
+                from repro.obs.events import current_correlation
+
+                with log.correlation(current_correlation()):
+                    log.emit(
+                        "collector.flush",
+                        records=len(records),
+                        objects=len({record.object_id for record in records}),
+                        inherited=sum(1 for r in records if r.inherited),
+                    )
+                    return self._flush_to_store(records)
+            return self._flush_to_store(records)
 
     def _flush_to_store(
         self, records: Tuple[ProvenanceRecord, ...]

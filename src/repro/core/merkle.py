@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.backend.events import AggregateEvent, DeleteEvent, OperationEvent
 from repro.backend.interface import ForestStore
 from repro.crypto.hashing import get_algorithm
@@ -79,34 +80,26 @@ def _walk_digests(
     Iterative postorder so arbitrarily deep trees don't hit the recursion
     limit.
     """
-    prof = OBS.profiler
-    if prof is None:
-        return _walk_digests_impl(store, root_id, algorithm_name)
-    with prof.phase("hash"):
-        return _walk_digests_impl(store, root_id, algorithm_name)
-
-
-def _walk_digests_impl(
-    store: ForestStore, root_id: str, algorithm_name: str
-) -> Dict[str, _Entry]:
-    algorithm = get_algorithm(algorithm_name)
-    out: Dict[str, _Entry] = {}
-    # (object_id, expanded?) — classic two-phase DFS
-    stack: List[Tuple[str, bool]] = [(root_id, False)]
-    while stack:
-        object_id, expanded = stack.pop()
-        children = store.children(object_id)
-        if not expanded and children:
-            stack.append((object_id, True))
-            stack.extend((child, False) for child in reversed(children))
-            continue
-        node = store.get(object_id)
-        pairs = [(child, out[child].digest) for child in children]
-        size = 1 + sum(out[child].size for child in children)
-        out[object_id] = _Entry(
-            digest=_node_digest(algorithm, object_id, node.value, pairs), size=size
-        )
-    return out
+    with obs.phase("hash"):
+        algorithm = get_algorithm(algorithm_name)
+        out: Dict[str, _Entry] = {}
+        # (object_id, expanded?) — classic two-phase DFS
+        stack: List[Tuple[str, bool]] = [(root_id, False)]
+        while stack:
+            object_id, expanded = stack.pop()
+            children = store.children(object_id)
+            if not expanded and children:
+                stack.append((object_id, True))
+                stack.extend((child, False) for child in reversed(children))
+                continue
+            node = store.get(object_id)
+            pairs = [(child, out[child].digest) for child in children]
+            size = 1 + sum(out[child].size for child in children)
+            out[object_id] = _Entry(
+                digest=_node_digest(algorithm, object_id, node.value, pairs),
+                size=size,
+            )
+        return out
 
 
 def subtree_digest(store: ForestStore, root_id: str, algorithm: str = "sha1") -> bytes:
@@ -467,10 +460,7 @@ _BATCH_NODE_PREFIX = b"\x01"
 
 def batch_leaf(data: bytes, algorithm: str = "sha1") -> bytes:
     """Leaf digest ``h(0x00 || data)`` of one batch entry."""
-    prof = OBS.profiler
-    if prof is None:
-        return get_algorithm(algorithm).digest(_BATCH_LEAF_PREFIX + data)
-    with prof.phase("merkle.leaf"):
+    with obs.phase("merkle.leaf"):
         return get_algorithm(algorithm).digest(_BATCH_LEAF_PREFIX + data)
 
 
@@ -494,10 +484,7 @@ def _batch_levels(leaves: Sequence[bytes], algorithm: str) -> List[List[bytes]]:
 
 def batch_root(leaves: Sequence[bytes], algorithm: str = "sha1") -> bytes:
     """Merkle root over ``leaves`` (a single leaf is its own root)."""
-    prof = OBS.profiler
-    if prof is None:
-        return _batch_levels(leaves, algorithm)[-1][0]
-    with prof.phase("merkle.root"):
+    with obs.phase("merkle.root"):
         return _batch_levels(leaves, algorithm)[-1][0]
 
 
@@ -509,28 +496,19 @@ def batch_audit_paths(
     One tree construction serves the whole batch — this is what the
     batch signer calls at flush time.
     """
-    prof = OBS.profiler
-    if prof is None:
-        return _batch_audit_paths_impl(leaves, algorithm)
-    with prof.phase("merkle.path"):
-        return _batch_audit_paths_impl(leaves, algorithm)
-
-
-def _batch_audit_paths_impl(
-    leaves: Sequence[bytes], algorithm: str
-) -> List[Tuple[bytes, ...]]:
-    levels = _batch_levels(leaves, algorithm)
-    paths: List[Tuple[bytes, ...]] = []
-    for index in range(len(levels[0])):
-        path: List[bytes] = []
-        i = index
-        for level in levels[:-1]:
-            size = len(level)
-            if not (i == size - 1 and size % 2 == 1):
-                path.append(level[i ^ 1])
-            i //= 2
-        paths.append(tuple(path))
-    return paths
+    with obs.phase("merkle.path"):
+        levels = _batch_levels(leaves, algorithm)
+        paths: List[Tuple[bytes, ...]] = []
+        for index in range(len(levels[0])):
+            path: List[bytes] = []
+            i = index
+            for level in levels[:-1]:
+                size = len(level)
+                if not (i == size - 1 and size % 2 == 1):
+                    path.append(level[i ^ 1])
+                i //= 2
+            paths.append(tuple(path))
+        return paths
 
 
 def batch_audit_path(
@@ -559,43 +537,30 @@ def resolve_batch_root(
         ProvenanceError: If ``index``/``count`` are out of range or the
             path length does not match the tree shape.
     """
-    prof = OBS.profiler
-    if prof is None:
-        return _resolve_batch_root_impl(leaf, index, count, path, algorithm)
-    with prof.phase("merkle.path"):
-        return _resolve_batch_root_impl(leaf, index, count, path, algorithm)
-
-
-def _resolve_batch_root_impl(
-    leaf: bytes,
-    index: int,
-    count: int,
-    path: Sequence[bytes],
-    algorithm: str,
-) -> bytes:
-    if count < 1 or not 0 <= index < count:
-        raise ProvenanceError(
-            f"invalid batch position: index {index}, count {count}"
-        )
-    alg = get_algorithm(algorithm)
-    node = leaf
-    i, size = index, count
-    pos = 0
-    while size > 1:
-        if not (i == size - 1 and size % 2 == 1):
-            if pos >= len(path):
-                raise ProvenanceError("audit path too short for batch shape")
-            sibling = path[pos]
-            pos += 1
-            if i % 2 == 0:
-                node = alg.digest(_BATCH_NODE_PREFIX + node + sibling)
-            else:
-                node = alg.digest(_BATCH_NODE_PREFIX + sibling + node)
-        i //= 2
-        size = (size + 1) // 2
-    if pos != len(path):
-        raise ProvenanceError("audit path too long for batch shape")
-    return node
+    with obs.phase("merkle.path"):
+        if count < 1 or not 0 <= index < count:
+            raise ProvenanceError(
+                f"invalid batch position: index {index}, count {count}"
+            )
+        alg = get_algorithm(algorithm)
+        node = leaf
+        i, size = index, count
+        pos = 0
+        while size > 1:
+            if not (i == size - 1 and size % 2 == 1):
+                if pos >= len(path):
+                    raise ProvenanceError("audit path too short for batch shape")
+                sibling = path[pos]
+                pos += 1
+                if i % 2 == 0:
+                    node = alg.digest(_BATCH_NODE_PREFIX + node + sibling)
+                else:
+                    node = alg.digest(_BATCH_NODE_PREFIX + sibling + node)
+            i //= 2
+            size = (size + 1) // 2
+        if pos != len(path):
+            raise ProvenanceError("audit path too long for batch shape")
+        return node
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ evidence violates.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -266,7 +267,7 @@ class Verifier:
         re-validating the watermark *anchor* before trusting a nonzero
         skip; given a sound anchor, the failures reported for the suffix
         are byte-identical to the corresponding slice of a full
-        :meth:`verify_records` run (see ``_check_chain_impl``).
+        :meth:`verify_records` run (see ``_check_chain``).
 
         Suffix walks are always serial (suffixes are short by
         construction); cold and full passes should use
@@ -374,72 +375,37 @@ class Verifier:
         chains — so distinct chains may be checked concurrently against
         the same ``chains`` index.
         """
-        prof = OBS.profiler
-        if prof is None:
-            return self._check_chain_observed(chain, chains, failures, start)
-        with prof.phase("verify.chain"):
-            return self._check_chain_observed(chain, chains, failures, start)
-
-    def _check_chain_observed(
-        self,
-        chain: List[ProvenanceRecord],
-        chains: Dict[str, List[ProvenanceRecord]],
-        failures: _Failures,
-        start: int = 0,
-    ) -> int:
-        observing = OBS.enabled
-        if not observing and not OBS.tracing:
-            return self._check_chain_impl(chain, chains, failures, start)
-        began = perf_counter()
-        trace_id: Optional[str] = None
-        if OBS.tracing:
-            with OBS.tracer.span(
-                "verify.chain",
-                object_id=chain[0].object_id if chain else "?",
-                records=len(chain) - start,
-            ) as span:
-                checked = self._check_chain_impl(chain, chains, failures, start)
-            trace_id = span.trace_id
-        else:
-            checked = self._check_chain_impl(chain, chains, failures, start)
-        if observing:
-            # The exemplar makes the histogram's worst case actionable:
-            # its trace id names the slowest sampled chain verification.
-            OBS.registry.histogram("verify.chain.seconds").observe(
-                perf_counter() - began, exemplar=trace_id
+        with obs.phase(
+            "verify.chain",
+            object_id=chain[0].object_id if chain else "?",
+            records=len(chain) - start,
+        ):
+            checked = 0
+            # Seeding ``previous`` with the last covered record makes a
+            # suffix walk from ``start`` perform exactly the checks a full
+            # walk performs on those records (the walk's only carried state
+            # is ``previous``) — the incremental monitor's equivalence
+            # guarantee rests on this line.
+            previous: Optional[ProvenanceRecord] = (
+                chain[start - 1] if start > 0 else None
             )
-        return checked
-
-    def _check_chain_impl(
-        self,
-        chain: List[ProvenanceRecord],
-        chains: Dict[str, List[ProvenanceRecord]],
-        failures: _Failures,
-        start: int = 0,
-    ) -> int:
-        checked = 0
-        # Seeding ``previous`` with the last covered record makes a
-        # suffix walk from ``start`` perform exactly the checks a full
-        # walk performs on those records (the walk's only carried state
-        # is ``previous``) — the incremental monitor's equivalence
-        # guarantee rests on this line.
-        previous: Optional[ProvenanceRecord] = (
-            chain[start - 1] if start > 0 else None
-        )
-        for record in chain[start:]:
-            checked += 1
-            self._check_inline_values(record, failures)
-            prev_checksums = self._resolve_predecessors(
-                record, previous, chains, failures
-            )
-            if prev_checksums is None:
+            for record in chain[start:]:
+                checked += 1
+                self._check_inline_values(record, failures)
+                prev_checksums = self._resolve_predecessors(
+                    record, previous, chains, failures
+                )
+                if prev_checksums is None:
+                    previous = record
+                    continue  # structural failure already reported
+                self._verify_signature(record, prev_checksums, failures)
+                if (
+                    record.transfer is not None
+                    or record.operation is Operation.TRANSFER
+                ):
+                    self._check_custody(record, previous, failures)
                 previous = record
-                continue  # structural failure already reported
-            self._verify_signature(record, prev_checksums, failures)
-            if record.transfer is not None or record.operation is Operation.TRANSFER:
-                self._check_custody(record, previous, failures)
-            previous = record
-        return checked
+            return checked
 
     def _check_inline_values(
         self, record: ProvenanceRecord, failures: _Failures
@@ -761,8 +727,6 @@ def _fire_worker_fault(rule: "FaultRule", chunk_index: int) -> None:
     from repro.faults.plan import FaultKind
 
     if rule.kind is FaultKind.KILL:
-        import os
-
         os._exit(1)
     if rule.kind is FaultKind.CRASH:
         raise WorkerKilledError(
@@ -802,20 +766,12 @@ def _check_chain_chunk(task):
 
         prof = OBS.profiler = PhaseProfiler(sample_every=prof.sample_every)
     start = perf_counter()
-    if OBS.tracing:
-        import os
-
-        with OBS.tracer.span(
-            "verify.worker", chunk_size=len(object_ids)
-        ) as span:
+    with obs.phase("verify.worker", chunk_size=len(object_ids)) as span:
+        if span is not None:
             span.worker_pid = os.getpid()
-            for object_id in object_ids:
-                checked += verifier._check_chain(chains[object_id], chains, failures)
-        span_dicts = OBS.tracer.drain()
-    else:
         for object_id in object_ids:
             checked += verifier._check_chain(chains[object_id], chains, failures)
-        span_dicts = []
+    span_dicts = OBS.tracer.drain() if OBS.tracing else []
     elapsed = perf_counter() - start
     metrics_dump = OBS.registry.dump() if observing else None
     profile_dump = prof.dump() if prof is not None else None
@@ -872,8 +828,6 @@ class ParallelVerifier(Verifier):
         faults: Optional["FaultPlan"] = None,
     ):
         super().__init__(keystore)
-        import os
-
         #: True when the caller left worker selection to us.  Explicit
         #: worker counts keep the historical fixed-fan-out behavior —
         #: chaos tests that kill chunk N rely on the chunk layout being a

@@ -19,6 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Tuple
 
+from repro import obs
 from repro.exceptions import UnknownHashAlgorithm
 from repro.obs import OBS
 
@@ -101,29 +102,12 @@ def available_algorithms() -> Tuple[str, ...]:
 
 def hash_bytes(data: bytes, algorithm: str = "sha1") -> bytes:
     """Hash ``data`` with the named algorithm and return the raw digest."""
-    prof = OBS.profiler
-    if prof is not None:
-        with prof.phase("hash"):
-            digest = get_algorithm(algorithm).digest(data)
-    else:
+    with obs.phase("hash"):
         digest = get_algorithm(algorithm).digest(data)
     if OBS.enabled:
         OBS.registry.counter("hash.digests", algorithm=algorithm).inc()
         OBS.registry.counter("hash.bytes", algorithm=algorithm).inc(len(data))
     return digest
-
-
-def _hash_concat_impl(parts: Iterable[bytes], algorithm: str) -> bytes:
-    if not OBS.enabled:
-        return get_algorithm(algorithm).digest_iter(parts)
-    h = get_algorithm(algorithm).new()
-    total = 0
-    for chunk in parts:
-        total += len(chunk)
-        h.update(chunk)
-    OBS.registry.counter("hash.digests", algorithm=algorithm).inc()
-    OBS.registry.counter("hash.bytes", algorithm=algorithm).inc(total)
-    return h.digest()
 
 
 def hash_concat(parts: Iterable[bytes], algorithm: str = "sha1") -> bytes:
@@ -133,11 +117,17 @@ def hash_concat(parts: Iterable[bytes], algorithm: str = "sha1") -> bytes:
     (e.g. the aggregate checksum hashes the concatenation of the input
     hashes).  Parts are fed to the hash incrementally.
     """
-    prof = OBS.profiler
-    if prof is None:
-        return _hash_concat_impl(parts, algorithm)
-    with prof.phase("hash"):
-        return _hash_concat_impl(parts, algorithm)
+    with obs.phase("hash"):
+        if not OBS.enabled:
+            return get_algorithm(algorithm).digest_iter(parts)
+        h = get_algorithm(algorithm).new()
+        total = 0
+        for chunk in parts:
+            total += len(chunk)
+            h.update(chunk)
+        OBS.registry.counter("hash.digests", algorithm=algorithm).inc()
+        OBS.registry.counter("hash.bytes", algorithm=algorithm).inc(total)
+        return h.digest()
 
 
 def _register_builtins() -> None:

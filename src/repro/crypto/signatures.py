@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import hmac
 import threading
-from time import perf_counter
 from typing import Optional, Protocol, Tuple, runtime_checkable
 
+from repro import obs
 from repro.crypto import pkcs1
 from repro.crypto.hashing import get_algorithm
 from repro.crypto.proofs import BatchProof, batch_root_message
@@ -107,22 +107,11 @@ class RSASignatureVerifier:
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Constant-structure verify: re-encode and compare."""
-        prof = OBS.profiler
-        if prof is None:
-            return self._verify_metered(message, signature)
-        with prof.phase("rsa.verify"):
-            return self._verify_metered(message, signature)
-
-    def _verify_metered(self, message: bytes, signature: bytes) -> bool:
-        if OBS.enabled:
-            start = perf_counter()
+        with obs.phase("rsa.verify"):
             ok = self._verify(message, signature)
+        if OBS.enabled:
             OBS.registry.counter("crypto.verify.count", scheme=self.scheme_name).inc()
-            OBS.registry.histogram(
-                "crypto.verify.seconds", scheme=self.scheme_name
-            ).observe(perf_counter() - start)
-            return ok
-        return self._verify(message, signature)
+        return ok
 
     def _verify(self, message: bytes, signature: bytes) -> bool:
         k = self.public_key.byte_size
@@ -189,22 +178,11 @@ class RSASignatureScheme:
 
     def sign(self, message: bytes) -> bytes:
         """Sign ``message``; output length is always :attr:`signature_size`."""
-        prof = OBS.profiler
-        if prof is None:
-            return self._sign_metered(message)
-        with prof.phase("rsa.sign"):
-            return self._sign_metered(message)
-
-    def _sign_metered(self, message: bytes) -> bytes:
-        if OBS.enabled:
-            start = perf_counter()
+        with obs.phase("rsa.sign"):
             signature = self._sign(message)
+        if OBS.enabled:
             OBS.registry.counter("crypto.sign.count", scheme=self.scheme_name).inc()
-            OBS.registry.histogram(
-                "crypto.sign.seconds", scheme=self.scheme_name
-            ).observe(perf_counter() - start)
-            return signature
-        return self._sign(message)
+        return signature
 
     def _sign(self, message: bytes) -> bytes:
         k = self.private_key.byte_size
@@ -308,26 +286,16 @@ class MerkleBatchSignatureScheme:
         with self._epoch_lock:
             epoch = self._next_epoch
             self._next_epoch += 1
-        prof = OBS.profiler
-        if prof is None:
-            return self._seal_metered(batch, epoch)
-        with prof.phase("proof.build"):
-            return self._seal_metered(batch, epoch)
-
-    def _seal_metered(self, batch: list, epoch: int) -> Tuple[BatchProof, ...]:
-        start = perf_counter() if OBS.enabled else 0.0
         _, batch_root, batch_audit_paths, _ = _batch_merkle()
-        root = batch_root(batch, self.hash_algorithm)
-        paths = batch_audit_paths(batch, self.hash_algorithm)
-        signature = self._root_signer.sign(
-            batch_root_message(epoch, len(batch), root)
-        )
+        with obs.phase("proof.build"):
+            root = batch_root(batch, self.hash_algorithm)
+            paths = batch_audit_paths(batch, self.hash_algorithm)
+            signature = self._root_signer.sign(
+                batch_root_message(epoch, len(batch), root)
+            )
         if OBS.enabled:
             OBS.registry.counter("crypto.batch_seal.count").inc()
             OBS.registry.histogram("crypto.batch_seal.leaves").observe(len(batch))
-            OBS.registry.histogram("crypto.batch_seal.seconds").observe(
-                perf_counter() - start
-            )
         return tuple(
             BatchProof(
                 epoch=epoch,
@@ -388,54 +356,33 @@ def _batch_proof_valid(
     participant_id: str = "",
 ) -> bool:
     """Both halves of the Merkle-batch check (see class docstring)."""
-    prof = OBS.profiler
-    if prof is None:
-        return _batch_proof_valid_impl(
-            key, payload, checksum, proof, hash_algorithm, root_cache,
-            participant_id,
-        )
-    with prof.phase("proof.check"):
-        return _batch_proof_valid_impl(
-            key, payload, checksum, proof, hash_algorithm, root_cache,
-            participant_id,
-        )
-
-
-def _batch_proof_valid_impl(
-    key,
-    payload: bytes,
-    checksum: bytes,
-    proof: BatchProof,
-    hash_algorithm: str,
-    root_cache: Optional[dict],
-    participant_id: str,
-) -> bool:
     batch_leaf, _, _, resolve_batch_root = _batch_merkle()
-    try:
-        leaf = batch_leaf(payload, hash_algorithm)
-    except CryptoError:
-        return False
-    if not hmac.compare_digest(leaf, checksum):
-        return False
-    try:
-        root = resolve_batch_root(
-            checksum, proof.index, proof.count, proof.path, hash_algorithm
+    with obs.phase("proof.check"):
+        try:
+            leaf = batch_leaf(payload, hash_algorithm)
+        except CryptoError:
+            return False
+        if not hmac.compare_digest(leaf, checksum):
+            return False
+        try:
+            root = resolve_batch_root(
+                checksum, proof.index, proof.count, proof.path, hash_algorithm
+            )
+        except (ProvenanceError, CryptoError):
+            return False
+        cache_key = (
+            participant_id, proof.epoch, proof.count, root, proof.root_signature,
         )
-    except (ProvenanceError, CryptoError):
-        return False
-    cache_key = (
-        participant_id, proof.epoch, proof.count, root, proof.root_signature,
-    )
-    if root_cache is not None:
-        cached = root_cache.get(cache_key)
-        if cached is not None:
-            return cached
-    ok = key.verify(
-        batch_root_message(proof.epoch, proof.count, root), proof.root_signature
-    )
-    if root_cache is not None:
-        root_cache[cache_key] = ok
-    return ok
+        if root_cache is not None:
+            cached = root_cache.get(cache_key)
+            if cached is not None:
+                return cached
+        ok = key.verify(
+            batch_root_message(proof.epoch, proof.count, root), proof.root_signature
+        )
+        if root_cache is not None:
+            root_cache[cache_key] = ok
+        return ok
 
 
 def record_signature_valid(

@@ -11,7 +11,7 @@ facts:
 * A chain walk's only carried state is the ``previous`` record, so a
   suffix walk seeded with the anchor record performs byte-identical
   checks to the corresponding slice of a full walk
-  (``Verifier._check_chain_impl``).
+  (``Verifier._check_chain``).
 * The anchor is re-validated against the live chain before any skip is
   trusted.  A missing anchor, a changed anchor checksum, or a chain
   shorter than its watermark means history was rewritten behind the

@@ -7,15 +7,16 @@ appends, chain verification) report counters/histograms into a process-
 wide :class:`~repro.obs.metrics.MetricsRegistry` and open
 :class:`~repro.obs.tracing.Span`\\ s, but **only when enabled**.
 
-Design contract — near-zero cost when off:
+Design contract — one instrumentation primitive, near-zero cost when off:
 
-- The singleton :data:`OBS` is the only global.  Instrumented sites are
-  written as ``if OBS.enabled: ...`` (metrics) or ``if OBS.tracing: ...``
-  (spans); with observability disabled (the default) the *entire* cost of
-  instrumentation is that one attribute check, guarded at ≤ ~2% of hot-
-  loop time by ``benchmarks/bench_obs_overhead.py``.
-- :func:`span` returns a shared stateless no-op context manager when
-  tracing is off — no allocation on the hot path.
+- The singleton :data:`OBS` is the only global.  Sites call
+  ``obs.phase(name, **attrs)``; the phase→span/histogram table lives in
+  ``repro/obs/profile.py`` (:data:`~repro.obs.profile.PHASE_SINKS`).
+  With observability disabled (the default) the call returns a shared
+  stateless no-op, and the *entire* cost of a site is that call —
+  guarded at ≤ ~2% of hot-loop time by
+  ``benchmarks/bench_obs_overhead.py``.  Counters and event emission
+  stay plain ``if OBS.enabled:`` / ``OBS.events`` slot checks.
 
 Typical use::
 
@@ -30,6 +31,7 @@ Typical use::
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict, Optional
 
 from repro.obs import events as events_module  # noqa: F401 (re-exported)
@@ -40,13 +42,14 @@ from repro.obs import profile as profile_module  # noqa: F401 (re-exported)
 # `import repro.obs` light for the hot paths that only check OBS slots.
 from repro.obs.events import EventLog, FileSink, RingBufferSink
 from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import CostModel, PhaseProfiler
+from repro.obs.profile import PHASE_SINKS, CostModel, PhaseProfiler, PhaseSinks
 from repro.obs.tracing import Span, TraceContext, Tracer, render_trace
 
 __all__ = [
     "OBS",
     "enable",
     "disable",
+    "phase",
     "span",
     "span_remote",
     "snapshot",
@@ -82,12 +85,14 @@ class ObsState:
     :class:`~repro.obs.events.EventLog` or None) gates structured events,
     ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler` or None)
     gates phase-attributed timing; all default to off.  Slots keep the
-    hot-path attribute check a plain slot load — event and profiler sites
-    are written ``x = OBS.events`` / ``if x is not None:`` so the
-    disabled-mode cost stays one slot read.
+    hot-path attribute check a plain slot load — event sites are written
+    ``x = OBS.events`` / ``if x is not None:``.  ``timing`` is derived on
+    every write: true while any switch :func:`phase` serves is on, so a
+    disabled site reads one slot.
     """
 
-    __slots__ = ("enabled", "tracing", "registry", "tracer", "events", "profiler")
+    __slots__ = ("enabled", "tracing", "registry", "tracer", "events",
+                 "profiler", "timing")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -97,21 +102,30 @@ class ObsState:
         self.events: Optional[EventLog] = None
         self.profiler: Optional[PhaseProfiler] = None
 
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name in ("enabled", "tracing", "profiler"):
+            object.__setattr__(self, "timing", bool(
+                getattr(self, "enabled", False)
+                or getattr(self, "tracing", False)
+                or getattr(self, "profiler", None) is not None
+            ))
+
 
 #: The module-level default state every instrumented site checks.
 OBS = ObsState()
 
 
 class _NoopSpan:
-    """Reusable, stateless no-op context manager for disabled tracing."""
+    """Reusable, stateless no-op scope for disabled spans and phases.
+
+    Static methods, so ``with`` calls them without building a bound
+    method: every disabled site pays for this scope.
+    """
 
     __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
+    __enter__ = staticmethod(lambda: None)
+    __exit__ = staticmethod(lambda exc_type, exc, tb: False)
 
 
 _NOOP_SPAN = _NoopSpan()
@@ -137,6 +151,66 @@ def disable(reset: bool = False) -> None:
     if reset:
         OBS.registry.reset()
         OBS.tracer.reset()
+
+
+class _Phase:
+    """One ``obs.phase`` scope: profiler phase, span and histogram."""
+
+    __slots__ = ("_sinks", "_attrs", "_prof", "_tracer", "_metrics",
+                 "_span", "_start")
+
+    def __init__(self, sinks: PhaseSinks, attrs, prof, tracer, metrics: bool):
+        self._sinks = sinks
+        self._attrs = attrs
+        self._prof = prof
+        self._tracer = tracer
+        self._metrics = metrics
+        self._span: Optional[Span] = None
+
+    def __enter__(self) -> Optional[Span]:
+        if self._tracer is not None:
+            self._span = self._tracer.start(self._sinks.span, self._attrs)
+        if self._prof is not None:
+            self._prof._enter(self._sinks.profile)
+        if self._metrics:
+            self._start = perf_counter()
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        sinks, span = self._sinks, self._span
+        if self._metrics and exc_type is None:
+            OBS.registry.histogram(sinks.histogram, **dict(sinks.labels)).observe(
+                perf_counter() - self._start,
+                exemplar=span.trace_id if span is not None else None,
+            )
+        if self._prof is not None:
+            self._prof._exit()
+        if span is not None:
+            if exc_type is not None:
+                span.attrs.setdefault("error", exc_type.__name__)
+            self._tracer.finish(span)
+        return False
+
+
+def phase(name: str, **attrs: object):
+    """Instrument one site: ``with obs.phase("verify.chain", records=n):``.
+
+    Enters the profiler phase, opens the tracer span (``attrs`` become
+    its attributes) and observes the histogram that
+    :data:`~repro.obs.profile.PHASE_SINKS` declares for ``name`` — each
+    only while its switch is on.  A span-declaring phase yields the open
+    :class:`Span` (None otherwise).  With every switch off, or none of
+    the declared sinks live, it is the shared no-op.
+    """
+    if not OBS.timing:
+        return _NOOP_SPAN
+    sinks = PHASE_SINKS.get(name) or PhaseSinks(name)
+    prof = OBS.profiler if sinks.profile is not None else None
+    tracer = OBS.tracer if OBS.tracing and sinks.span is not None else None
+    metrics = OBS.enabled and sinks.histogram is not None
+    if prof is None and tracer is None and not metrics:
+        return _NOOP_SPAN
+    return _Phase(sinks, attrs, prof, tracer, metrics)
 
 
 def span(name: str, **attrs: object):
@@ -213,22 +287,16 @@ def emit(kind: str, **fields: object) -> None:
 # ---------------------------------------------------------------------------
 
 
-def enable_profile(
-    sample_every: int = 1, emit_spans: bool = False, reset: bool = False
-) -> PhaseProfiler:
+def enable_profile(sample_every: int = 1, reset: bool = False) -> PhaseProfiler:
     """Attach a phase profiler (returns it; orthogonal to :func:`enable`).
 
     ``sample_every=N`` turns on deterministic sampling (time every Nth
-    entry per phase, scale by N); ``emit_spans=True`` additionally opens
-    ``phase.<name>`` tracer spans when tracing is enabled.  ``reset=True``
-    discards a previously attached profiler's data instead of reusing it.
+    entry per phase, scale by N).  ``reset=True`` discards a previously
+    attached profiler's data instead of reusing it.
     """
     prof = OBS.profiler
     if prof is None or reset or prof.sample_every != sample_every:
-        prof = PhaseProfiler(sample_every=sample_every, emit_spans=emit_spans)
-        OBS.profiler = prof
-    else:
-        prof.emit_spans = emit_spans
+        prof = OBS.profiler = PhaseProfiler(sample_every=sample_every)
     return prof
 
 

@@ -9,17 +9,18 @@ of named phases, and a :class:`CostModel` rolls a profile into
 per-record / per-batch cost attribution that flows through the existing
 exporters (:mod:`repro.obs.export`).
 
-Design contract — same as metrics and events:
+Design contract — one instrumentation primitive:
 
-- Instrumented sites are written ``prof = OBS.profiler`` / ``if prof is
-  not None:`` so the disabled-mode cost is one slot read plus an
-  ``is None`` check (guarded ≤ 2% by ``benchmarks/bench_obs_overhead.py``).
+- Sites call ``obs.phase(name, **attrs)``; the phase→span/histogram
+  table (:data:`PHASE_SINKS`, below) lives in this module, so no site
+  decides which observers it feeds.  With everything off the call
+  returns a shared no-op (guarded ≤ 2% by
+  ``benchmarks/bench_obs_overhead.py``).
 - The profiler is a timer *stack* layered over the same thread-local
   discipline as :class:`~repro.obs.tracing.Tracer`: nested phases pause
   their parent's self-time, so ``self_s`` across phases partitions the
   profiled wall time without double counting (``total_s`` stays
-  inclusive).  With ``emit_spans=True`` each phase additionally opens a
-  ``phase.<name>`` span on the tracer when tracing is enabled.
+  inclusive).
 - ``dump()`` / ``merge()`` are picklable plain data, mirroring
   :meth:`~repro.obs.metrics.MetricsRegistry.dump`, so per-worker
   profiles from the ``ParallelVerifier`` merge back into the parent and
@@ -34,9 +35,9 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["PHASES", "PhaseProfiler", "CostModel"]
+__all__ = ["PHASES", "PHASE_SINKS", "PhaseSinks", "PhaseProfiler", "CostModel"]
 
 #: The closed phase taxonomy (DESIGN.md §11 maps each to a paper §5 cost
 #: component).  Sites may only use names from this tuple; the profiler
@@ -55,6 +56,49 @@ PHASES = (
     "verify.chain",
     "collector.flush",
 )
+
+
+class PhaseSinks(NamedTuple):
+    """The observers one ``obs.phase(name, **attrs)`` site feeds."""
+
+    #: Profiler phase charged (a :data:`PHASES` name), or None.
+    profile: Optional[str]
+    #: Tracer span opened, carrying the site's attrs.
+    span: Optional[str] = None
+    #: ``*.seconds`` histogram observed (exemplar: the span's trace id).
+    histogram: Optional[str] = None
+    #: The histogram's ``(label, value)`` pairs.
+    labels: Tuple[Tuple[str, str], ...] = ()
+
+
+#: The RSA scheme's registry name; only it enters the ``rsa.*`` phases.
+_RSA = (("scheme", "rsa-pkcs1v15"),)
+
+#: Site name -> sinks: the one place that decides which span and which
+#: histogram each instrumented site feeds.  Every :data:`PHASES` name is
+#: a plain profiler phase unless overridden here; the remaining entries
+#: are sites that charge another phase (the stores) or none (spans that
+#: are not a §5 cost component).
+PHASE_SINKS: Dict[str, PhaseSinks] = {
+    **{name: PhaseSinks(name) for name in PHASES},
+    "rsa.sign": PhaseSinks("rsa.sign", histogram="crypto.sign.seconds", labels=_RSA),
+    "rsa.verify": PhaseSinks(
+        "rsa.verify", histogram="crypto.verify.seconds", labels=_RSA
+    ),
+    "proof.build": PhaseSinks("proof.build", histogram="crypto.batch_seal.seconds"),
+    "collector.flush": PhaseSinks("collector.flush", span="collector.flush"),
+    "verify.chain": PhaseSinks(
+        "verify.chain", span="verify.chain", histogram="verify.chain.seconds"
+    ),
+    # In-memory store batch / SQLite single append / SQLite batch.
+    "store.batch": PhaseSinks("store.io", span="store.batch"),
+    "store.txn": PhaseSinks("store.io", histogram="store.txn.seconds"),
+    "store.txn.batch": PhaseSinks(
+        "store.io", span="store.batch", histogram="store.txn.seconds"
+    ),
+    "verify.worker": PhaseSinks(None, span="verify.worker"),
+    "client.request": PhaseSinks(None, span="client.request"),
+}
 
 
 class _PhaseStat:
@@ -84,29 +128,18 @@ class _Frame:
 class _PhaseSpan:
     """Context manager returned by :meth:`PhaseProfiler.phase`."""
 
-    __slots__ = ("_profiler", "_name", "_span")
+    __slots__ = ("_profiler", "_name")
 
     def __init__(self, profiler: "PhaseProfiler", name: str) -> None:
         self._profiler = profiler
         self._name = name
-        self._span = None
 
     def __enter__(self) -> "_PhaseSpan":
-        profiler = self._profiler
-        if profiler.emit_spans:
-            from repro.obs import OBS
-
-            if OBS.tracing:
-                self._span = OBS.tracer.span("phase." + self._name)
-                self._span.__enter__()
-        profiler._enter(self._name)
+        self._profiler._enter(self._name)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._profiler._exit()
-        if self._span is not None:
-            self._span.__exit__(exc_type, exc, tb)
-            self._span = None
         return False
 
 
@@ -118,11 +151,10 @@ class PhaseProfiler:
     profiling is *enabled* — disabled sites never reach the profiler).
     """
 
-    def __init__(self, sample_every: int = 1, emit_spans: bool = False) -> None:
+    def __init__(self, sample_every: int = 1) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.sample_every = sample_every
-        self.emit_spans = emit_spans
         self._stats: Dict[str, _PhaseStat] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -130,7 +162,7 @@ class PhaseProfiler:
     # -- recording ---------------------------------------------------------
 
     def phase(self, name: str) -> _PhaseSpan:
-        """Open a phase; use as ``with prof.phase("rsa.sign"): ...``."""
+        """Open a phase directly on this profiler (sites use ``obs.phase``)."""
         return _PhaseSpan(self, name)
 
     def _stack(self) -> List[_Frame]:

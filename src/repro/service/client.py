@@ -31,6 +31,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.exceptions import ServiceError
 from repro.obs import OBS
 
@@ -116,45 +117,34 @@ class ServiceClient:
         raise_for_status: bool = True,
     ) -> ServiceResponse:
         """One request with the 503 retry loop; returns the raw exchange."""
-        if OBS.tracing:
-            # The client-side half of the distributed trace: _once() sees
-            # this span as the innermost open one and encodes its context
-            # into the traceparent header, so the server's http.request
-            # span becomes this span's (remote) child.
-            with OBS.tracer.span("client.request", method=method, path=path) as s:
-                response = self._request_impl(method, path, body, raise_for_status)
-                s.attrs["status"] = response.status
-                return response
-        return self._request_impl(method, path, body, raise_for_status)
-
-    def _request_impl(
-        self,
-        method: str,
-        path: str,
-        body: Optional[Dict[str, object]],
-        raise_for_status: bool,
-    ) -> ServiceResponse:
-        attempts = 0
-        while True:
-            response = self._once(method, path, body)
-            if response.status == 503 and attempts < self.retries:
-                attempts += 1
-                time.sleep(self._retry_delay(response, attempts))
-                continue
-            response = ServiceResponse(
-                status=response.status, raw=response.raw,
-                headers=response.headers, retries=attempts,
-            )
-            if raise_for_status and not response.ok:
-                try:
-                    payload = response.json
-                except ValueError:  # non-JSON error body (proxy, raw text)
-                    payload = {"error": response.raw.decode("utf-8", "replace")}
-                raise ServiceHTTPError(
-                    response.status, payload, method, path,
-                    correlation_id=response.headers.get("X-Correlation-Id"),
+        # The client-side half of the distributed trace: _once() sees this
+        # span as the innermost open one and encodes its context into the
+        # traceparent header, so the server's http.request span becomes
+        # this span's (remote) child.
+        with obs.phase("client.request", method=method, path=path) as span:
+            attempts = 0
+            while True:
+                response = self._once(method, path, body)
+                if response.status == 503 and attempts < self.retries:
+                    attempts += 1
+                    time.sleep(self._retry_delay(response, attempts))
+                    continue
+                response = ServiceResponse(
+                    status=response.status, raw=response.raw,
+                    headers=response.headers, retries=attempts,
                 )
-            return response
+                if raise_for_status and not response.ok:
+                    try:
+                        payload = response.json
+                    except ValueError:  # non-JSON error body (proxy, raw text)
+                        payload = {"error": response.raw.decode("utf-8", "replace")}
+                    raise ServiceHTTPError(
+                        response.status, payload, method, path,
+                        correlation_id=response.headers.get("X-Correlation-Id"),
+                    )
+                if span is not None:
+                    span.attrs["status"] = response.status
+                return response
 
     def _once(self, method: str, path: str, body) -> ServiceResponse:
         data = None

@@ -55,6 +55,9 @@ Status mapping (the chaos suite pins this down):
   admin scope
 - 404 unknown object; 400 malformed request or a caller error from the
   core (:class:`ReproError`)
+- 400 for a negative or non-integer ``Content-Length`` and 413 above
+  :data:`MAX_BODY_BYTES`, both answered without reading the body; the
+  connection is then closed, since its unread bytes cannot be framed
 - 503 + ``Retry-After`` for *transient* store trouble (the same
   ``TRANSIENT_STORE_ERRORS`` set the collector retries); the request is
   safe to retry — faults fire before any store write
@@ -97,12 +100,23 @@ from repro.exceptions import (
 from repro.obs import OBS
 from repro.service.core import ProvenanceService, ServiceConfig, canonical_json
 
-__all__ = ["ProvenanceHTTPServer", "serve", "DEFAULT_RETRY_AFTER"]
+__all__ = ["ProvenanceHTTPServer", "serve", "DEFAULT_RETRY_AFTER", "MAX_BODY_BYTES"]
 
 #: ``Retry-After`` seconds sent with 503s.  Fractional (the bundled
 #: client parses floats) so chaos tests stay fast; real deployments
 #: would round up.
 DEFAULT_RETRY_AFTER = 0.05
+
+#: Largest request body read (1 MiB); a longer declared body gets 413.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _UnreadableBody(ServiceError):
+    """A ``Content-Length`` the handler refuses to read (status attached)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -180,6 +194,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 status, payload, headers = self._auth_failure(exc)
             except UnknownObjectError as exc:
                 status, payload, headers = 404, {"error": _strip(exc)}, {}
+            except _UnreadableBody as exc:
+                status, payload = exc.status, {"error": str(exc)}
+                headers = {"Connection": "close"}
             except ServiceError as exc:
                 status, payload, headers = 400, {"error": str(exc)}, {}
             except TRANSIENT_STORE_ERRORS as exc:
@@ -405,7 +422,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return self.headers.get("X-Api-Key")
 
     def _body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _UnreadableBody(400, f"invalid Content-Length {declared!r}")
+        if length > MAX_BODY_BYTES:
+            raise _UnreadableBody(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError("request body is required")

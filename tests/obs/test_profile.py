@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.obs.export import to_json, to_prometheus
-from repro.obs.profile import PHASES, CostModel, PhaseProfiler
+from repro.obs.profile import PHASE_SINKS, PHASES, CostModel, PhaseProfiler
 
 
 @pytest.fixture
@@ -137,15 +137,24 @@ class TestPhaseProfiler:
             t.join()
         assert prof.snapshot()["hash"]["calls"] == 40
 
-    def test_emit_spans_opens_tracer_spans(self, obs_enabled):
-        prof = obs.enable_profile(reset=True, emit_spans=True)
+    def test_phase_table_decides_spans(self, obs_enabled):
+        prof = obs.enable_profile(reset=True)
         try:
             with obs.span("outer"):
-                with prof.phase("hash"):
+                with obs.phase("collector.flush", staged=2):
+                    pass
+                with obs.phase("hash"):
                     pass
             root = obs.OBS.tracer.last_trace()
-            names = [child.name for child in root.children]
-            assert "phase.hash" in names
+            # The declared span, exactly once; `hash` declares none.
+            assert [(child.name, child.attrs) for child in root.children] == [
+                ("collector.flush", {"staged": 2})
+            ]
+            assert not root.children[0].children
+            assert PHASE_SINKS["hash"].span is None
+            snap = prof.snapshot()
+            assert snap["collector.flush"]["calls"] == 1
+            assert snap["hash"]["calls"] == 1
         finally:
             obs.disable_profile()
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import socket
+import time
 
 import pytest
 
 from repro import obs
 from repro.service import ServiceClient
+from repro.service.http import MAX_BODY_BYTES
 
 
 class TestRouting:
@@ -108,6 +111,51 @@ class TestRouting:
             parsed, sort_keys=True, separators=(",", ":")
         ).encode()
         assert raw == recoded
+
+
+class TestRequestBodyBounds:
+    """Hostile ``Content-Length`` values are refused before any body read."""
+
+    @staticmethod
+    def raw_post(server, content_length: str) -> bytes:
+        """Send headers only; read the reply until the server closes."""
+        host, port = server.server_address[:2]
+        head = (
+            "POST /v1/admin/keys HTTP/1.1\r\n"
+            f"Host: {host}\r\n"
+            f"Authorization: Bearer {server.service.admin_token}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    return reply
+                reply += chunk
+
+    @pytest.mark.parametrize("content_length, status", [
+        ("-1", 400),
+        ("abc", 400),
+        (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_bad_length_answered_promptly_without_reading(
+        self, server, admin, content_length, status
+    ):
+        began = time.monotonic()
+        reply = self.raw_post(server, content_length)
+        assert time.monotonic() - began < 2.0
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == str(status).encode()
+        assert b"Connection: close" in rest
+        # The server is still answering.
+        assert admin.issue_key("acme")["tenant"] == "acme"
+
+    def test_cap_sized_body_is_read(self, admin):
+        padded = {"tenant": "acme", "note": "x" * (MAX_BODY_BYTES // 2)}
+        response = admin.request("POST", "/v1/admin/keys", padded)
+        assert response.status == 200
 
 
 class TestHealthz:
