@@ -131,9 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify an object in place")
     p.add_argument("object_id")
     p.add_argument("--anchors", action="store_true",
-                   help="also check the workspace's anchored checksums")
+                   help="also check the workspace witness's anchors")
 
-    p = sub.add_parser("anchor", help="anchor an object's latest checksum")
+    p = sub.add_parser(
+        "anchor", help="have the workspace witness anchor an object's latest checksum"
+    )
     p.add_argument("object_id")
 
     p = sub.add_parser(
@@ -536,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
             "the custody/collusion adversary drills against a seeded attack "
             "world and checks every outcome against its expectation; "
             "`witness-tick` countersigns the workspace store's chain tails "
-            "into an append-only anchor log; `audit` cross-checks the store "
+            "into the workspace's append-only anchor log (the log `anchor` "
+            "and `verify --anchors` use); `audit` cross-checks the store "
             "against that log and exits non-zero on any contradiction."
         ),
     )
@@ -554,23 +557,14 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
                     default="rsa", help="participants' signature scheme")
     tp.add_argument("--json", action="store_true", help="emit the JSON report")
-    tp = trust_sub.add_parser(
+    trust_sub.add_parser(
         "witness-tick",
-        help="countersign the workspace store's chain tails into an anchor log",
+        help="countersign the workspace store's chain tails into its anchor log",
     )
-    tp.add_argument("--log", default="witness-anchors.jsonl", metavar="PATH",
-                    help="anchor log file (created if missing)")
-    tp.add_argument("--witness-seed", type=int, default=0x517,
-                    help="seed the witness key pair is derived from (use the "
-                         "same seed to continue a log)")
-    tp.add_argument("--key-bits", type=int, default=512)
     tp = trust_sub.add_parser(
         "audit",
-        help="cross-check the workspace store against a witness anchor log",
+        help="cross-check the workspace store against its witness anchor log",
     )
-    tp.add_argument("--log", default="witness-anchors.jsonl", metavar="PATH")
-    tp.add_argument("--witness-seed", type=int, default=0x517)
-    tp.add_argument("--key-bits", type=int, default=512)
     tp.add_argument("--json", action="store_true", help="emit mismatches as JSON")
 
     p = sub.add_parser(
@@ -1026,33 +1020,29 @@ def _trust_simulate(args) -> int:
 
 
 def _cmd_trust(args) -> int:
-    from repro.trust.witness import AnchorLog, Witness, check_anchors
+    from repro.trust.witness import check_anchors
 
     if args.trust_command == "simulate":
         return _trust_simulate(args)
 
     with Workspace(args.workspace) as ws:
-        db = ws.database()
-        store = db.provenance_store
-        witness = Witness.generate(
-            key_bits=args.key_bits,
-            seed=args.witness_seed,
-            log=AnchorLog.load(args.log),
-        )
+        store = ws.database().provenance_store
+        witness = ws.witness()
+        log_path = str(ws.witness_log)
         if args.trust_command == "witness-tick":
             fresh = witness.tick(store)
-            witness.log.save(args.log)
+            ws.save_witness(witness)
             for anchor in fresh:
                 print(f"anchored {anchor.object_id!r} seq {anchor.seq_id} "
                       f"(entry {anchor.index})")
-            print(f"{len(fresh)} new anchor(s); log {args.log} now has "
+            print(f"{len(fresh)} new anchor(s); log {log_path} now has "
                   f"{len(witness.log)} entries")
             return 0
         # audit
         mismatches = check_anchors(store, witness.log, witness.verifier())
         if args.json:
             print(json.dumps({
-                "log": args.log, "entries": len(witness.log),
+                "log": log_path, "entries": len(witness.log),
                 "mismatches": [list(m) for m in mismatches],
                 "ok": not mismatches,
             }, indent=2, sort_keys=True))
@@ -1734,25 +1724,25 @@ def _dispatch(args) -> int:
             return 0
 
         if args.command == "anchor":
-            service = ws.anchor_service()
-            receipt = service.anchor_latest(db, args.object_id)
-            ws.save_anchor(receipt)
+            witness = ws.witness()
+            anchor = witness.anchor_latest(db.provenance_store, args.object_id)
+            ws.save_witness(witness)
             print(
-                f"anchored {args.object_id!r} at seq {receipt.seq_id} "
-                f"(anchor counter {receipt.counter})"
+                f"anchored {args.object_id!r} at seq {anchor.seq_id} "
+                f"(witness log entry {anchor.index})"
             )
             return 0
 
         if args.command == "verify":
             if args.anchors:
-                from repro.core.anchor import verify_with_anchors
+                from repro.trust.witness import verify_with_witness
 
-                service = ws.anchor_service()
-                report = verify_with_anchors(
+                witness = ws.witness()
+                report = verify_with_witness(
                     db.ship(args.object_id),
                     db.keystore(),
-                    ws.anchor_receipts(),
-                    service.verifier(),
+                    witness.log,
+                    witness.verifier(),
                 )
             else:
                 report = db.verify(args.object_id)

@@ -9,6 +9,8 @@ A workspace directory holds everything a provenance deployment needs:
         <id>.json          each participant's private key + certificate
       backend.db           SQLite back-end database
       provenance.db        SQLite provenance database
+      anchor-service.json  the witness's private key (created on first use)
+      witness-anchors.jsonl  the witness's hash-linked anchor log
 
 Private keys are stored unencrypted — this is a single-user research
 tool, not an HSM; treat the directory like an SSH key directory.
@@ -28,6 +30,7 @@ from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import RSASignatureScheme
 from repro.exceptions import ReproError
 from repro.provenance.store import SQLiteProvenanceStore
+from repro.trust.witness import AnchorLog, Witness
 
 __all__ = ["Workspace", "WorkspaceError"]
 
@@ -184,50 +187,48 @@ class Workspace:
         return sorted(p.stem for p in directory.glob("*.json"))
 
     # ------------------------------------------------------------------
-    # anchoring (repro.core.anchor)
+    # witness anchoring (repro.trust.witness)
     # ------------------------------------------------------------------
 
-    def anchor_service(self):
-        """The workspace's anchor service (key created on first use).
+    def witness(self) -> Witness:
+        """The workspace's witness, continuing its persisted anchor log.
 
-        In production the anchor service would run *outside* the
-        participants' control; a workspace-local one still demonstrates
-        the mechanics and protects against later tampering of this store.
+        Its key is random, created on first use and kept in
+        ``anchor-service.json``; its log is :attr:`witness_log` (callers
+        persist it with :meth:`save_witness` after anchoring).  In
+        production the witness would run *outside* the participants'
+        control; a workspace-local one still demonstrates the mechanics
+        and protects against later tampering of this store.
+
+        Raises:
+            WorkspaceError: If the workspace still holds receipts in the
+                retired unlinked ``anchors.json`` format, which nothing
+                checks any more — refusing keeps ``verify --anchors``
+                from passing silently behind them.
         """
-        from repro.core.anchor import AnchorService
-        from repro.crypto.signatures import RSASignatureScheme
-
+        legacy = self.path / "anchors.json"
+        if legacy.exists():
+            raise WorkspaceError(
+                f"{legacy} holds anchor receipts in a retired format that is "
+                "no longer checked; verify the store, delete that file and "
+                "re-anchor with 'repro anchor' or 'repro trust witness-tick'"
+            )
         key_file = self.path / "anchor-service.json"
         if key_file.exists():
             private = private_key_from_dict(json.loads(key_file.read_text()))
         else:
             private = generate_keypair(self.config["key_bits"]).private
             key_file.write_text(json.dumps(private_key_to_dict(private)))
-        service = AnchorService(
-            RSASignatureScheme(private, self.config["hash_algorithm"])
+        return Witness(
+            RSASignatureScheme(private, self.config["hash_algorithm"]),
+            log=AnchorLog.load(str(self.witness_log)),
         )
-        for receipt in self.anchor_receipts():
-            service._log.append(receipt)
-            service._counter = max(service._counter, receipt.counter)
-        return service
 
-    def anchor_receipts(self) -> List:
-        """All persisted anchor receipts."""
-        from repro.core.anchor import AnchorReceipt
+    @property
+    def witness_log(self) -> Path:
+        """The witness's hash-linked anchor log."""
+        return self.path / "witness-anchors.jsonl"
 
-        log_file = self.path / "anchors.json"
-        if not log_file.exists():
-            return []
-        return [
-            AnchorReceipt.from_dict(entry)
-            for entry in json.loads(log_file.read_text())
-        ]
-
-    def save_anchor(self, receipt) -> None:
-        """Append one receipt to the persistent anchor log."""
-        log_file = self.path / "anchors.json"
-        entries = (
-            json.loads(log_file.read_text()) if log_file.exists() else []
-        )
-        entries.append(receipt.to_dict())
-        log_file.write_text(json.dumps(entries))
+    def save_witness(self, witness: Witness) -> None:
+        """Persist ``witness``'s log to :attr:`witness_log`."""
+        witness.log.save(str(self.witness_log))

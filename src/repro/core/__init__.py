@@ -11,7 +11,8 @@
 - :mod:`repro.core.shipment` — the (data, provenance, certificates)
   bundle exchanged with recipients.
 - :mod:`repro.core.incremental` — checkpoint-based verification for
-  repeat recipients.
+  repeat recipients (the verifier's own chain walk, resumed from a
+  checkpoint).
 - :mod:`repro.core.redaction` — selective disclosure of shipped values.
 - :mod:`repro.core.concurrent` — thread-safe sessions with per-tree
   locking (§3.2's parallel chain construction).
@@ -19,7 +20,6 @@
   most users should start from.
 """
 
-from repro.core.anchor import AnchorReceipt, AnchorService, verify_with_anchors
 from repro.core.collector import ChecksumCollector
 from repro.core.concurrent import ConcurrentSession, TreeLockManager, concurrent_sessions
 from repro.core.incremental import Checkpoint, verify_extension
@@ -59,9 +59,6 @@ __all__ = [
     "ConcurrentSession",
     "TreeLockManager",
     "concurrent_sessions",
-    "AnchorService",
-    "AnchorReceipt",
-    "verify_with_anchors",
     "redact_values",
     "redact_participant_values",
     "redact_object_values",

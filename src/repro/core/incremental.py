@@ -28,13 +28,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.core.verifier import (
-    VerificationFailure,
-    VerificationReport,
-    Verifier,
-)
+from repro.core.verifier import VerificationReport, Verifier, _Failures
 from repro.exceptions import VerificationError
-from repro.provenance.records import Operation, ProvenanceRecord
+from repro.provenance.records import ObjectState, Operation, ProvenanceRecord
 from repro.provenance.snapshot import SubtreeSnapshot
 
 __all__ = ["Checkpoint", "verify_extension"]
@@ -49,6 +45,20 @@ class Checkpoint:
     output_digest: bytes
     checksum: bytes
     hash_algorithm: str
+
+    # The checkpoint seeds the verifier's chain walk in place of the last
+    # verified record, so it answers the attributes the walk reads from
+    # that record.  It summarises state, not authorship: with no author
+    # the walk skips the outgoing-custodian match for a TRANSFER record
+    # right after it, but still checks the countersignature, which binds
+    # the checkpointed checksum — a hand-off at the seam cannot be
+    # re-linked, only re-attributed.
+    participant_id = None
+
+    @property
+    def output(self) -> ObjectState:
+        """The verified terminal state."""
+        return ObjectState(self.object_id, self.output_digest)
 
     @classmethod
     def from_records(
@@ -119,15 +129,14 @@ def verify_extension(
 
     ``new_records`` are the records with ``seq_id > checkpoint.seq_id``
     for the checkpointed object; records at or below the checkpoint are
-    ignored (senders may re-ship the full chain).  A delivery containing
-    an aggregation record is rejected with a failure instructing a full
-    verification (aggregations reach into other chains, which the
-    checkpoint does not summarise).
+    ignored (senders may re-ship the full chain).  The walk is the full
+    verifier's own :meth:`Verifier._check_chain` seeded with the
+    checkpoint, so every record past it gets exactly the checks a full
+    verification would give it.  A delivery containing an aggregation
+    record is rejected with a failure instructing a full verification
+    (aggregations reach into other chains, which the checkpoint does not
+    summarise).
     """
-    from repro.core import checksum as payloads
-    from repro.core.merkle import subtree_digest
-    from repro.exceptions import CertificateError
-
     object_id = checkpoint.object_id
     relevant = sorted(
         (
@@ -137,174 +146,27 @@ def verify_extension(
         ),
         key=lambda r: r.seq_id,
     )
-    failures = []
-
-    def fail(requirement: str, message: str, seq_id=None) -> None:
-        failures.append(VerificationFailure(requirement, object_id, message, seq_id))
-
+    failures = _Failures()
+    checked = 0
     if any(r.operation is Operation.AGGREGATE for r in relevant):
-        fail(
+        failures.add(
             "STRUCT",
+            object_id,
             "extension contains an aggregation record; incremental "
             "verification only covers linear extensions — run a full "
             "verification",
         )
-        return _report(checkpoint, failures, 0)
-
-    prev_seq = checkpoint.seq_id
-    prev_digest = checkpoint.output_digest
-    prev_checksum = checkpoint.checksum
-    # The checkpoint summarises state, not authorship: when a TRANSFER
-    # record immediately follows it, the outgoing-custodian-authored-the-
-    # predecessor check cannot run (None) — the countersignature is still
-    # verified and still binds the checkpointed checksum, so the hand-off
-    # cannot be re-linked, merely re-attributed at the seam.
-    prev_participant = None
-    for record in relevant:
-        if record.seq_id != prev_seq + 1:
-            code = "R3" if record.seq_id == prev_seq else "R2"
-            fail(
-                code,
-                f"sequence break: record {record.seq_id} follows {prev_seq}",
-                record.seq_id,
-            )
-            return _report(checkpoint, failures, len(relevant))
-        if record.operation is not Operation.INSERT:
-            if len(record.inputs) != 1 or record.inputs[0].digest != prev_digest:
-                fail(
-                    "R1",
-                    "input state does not match the previously verified state",
-                    record.seq_id,
-                )
-        try:
-            from repro.crypto.signatures import record_signature_valid
-
-            payload = payloads.record_payload(record, (prev_checksum,))
-            key = verifier.keystore.verifier_for(record.participant_id)
-            if not record_signature_valid(
-                key, record, payload, verifier._root_cache
-            ):
-                fail(
-                    "R1",
-                    f"checksum signature of {record.participant_id!r} does not verify",
-                    record.seq_id,
-                )
-        except CertificateError as exc:
-            fail("PKI", str(exc), record.seq_id)
-        except Exception as exc:
-            fail("STRUCT", str(exc), record.seq_id)
-        _check_extension_custody(
-            verifier, record, prev_participant, prev_checksum, fail
-        )
-        prev_seq = record.seq_id
-        prev_digest = record.output.digest
-        prev_checksum = record.checksum
-        prev_participant = record.participant_id
-
-    # Terminal data check (R4/R5).
-    if snapshot.root_id != object_id:
-        fail("R5", f"data object is {snapshot.root_id!r}, not {object_id!r}")
     else:
-        actual = subtree_digest(
-            snapshot.to_forest(), object_id, checkpoint.hash_algorithm
+        checked = verifier._check_chain(
+            relevant, {object_id: relevant}, failures, seed=checkpoint
         )
-        if actual != prev_digest:
-            fail(
-                "R4",
-                "data object does not match the most recent verified state",
-                prev_seq,
-            )
-
-    return _report(checkpoint, failures, len(relevant))
-
-
-def _check_extension_custody(
-    verifier: Verifier,
-    record: ProvenanceRecord,
-    prev_participant,
-    prev_checksum: bytes,
-    fail,
-) -> None:
-    """The custody invariant for linear extensions (mirrors the full
-    walk's ``Verifier._check_custody``; see its docstring)."""
-    from repro.core import checksum as payloads
-    from repro.crypto.signatures import detached_signature_valid
-    from repro.exceptions import CertificateError
-
-    transfer = record.transfer
-    if transfer is None and record.operation is not Operation.TRANSFER:
-        return
-    if record.operation is not Operation.TRANSFER:
-        fail(
-            "STRUCT",
-            f"{record.operation.value} record carries custody hand-off "
-            "data (only transfer records may)",
-            record.seq_id,
+        verifier._check_data_matches_terminal(
+            snapshot, object_id, {object_id: relevant or [checkpoint]}, failures
         )
-        return
-    if transfer is None:
-        fail(
-            "STRUCT",
-            "transfer record lacks custody hand-off data "
-            "(dual-signature evidence is missing)",
-            record.seq_id,
-        )
-        return
-    if transfer.to_participant != record.participant_id:
-        fail(
-            "CUSTODY",
-            f"hand-off names {transfer.to_participant!r} as the incoming "
-            f"custodian but the record was signed by {record.participant_id!r}",
-            record.seq_id,
-        )
-    if (
-        prev_participant is not None
-        and transfer.from_participant != prev_participant
-    ):
-        fail(
-            "CUSTODY",
-            f"hand-off claims custody from {transfer.from_participant!r} "
-            f"but the previous record was created by {prev_participant!r}",
-            record.seq_id,
-        )
-    try:
-        key = verifier.keystore.verifier_for(transfer.from_participant)
-    except CertificateError as exc:
-        fail("PKI", str(exc), record.seq_id)
-        return
-    message = payloads.transfer_message(
-        record.object_id,
-        record.seq_id,
-        transfer.from_participant,
-        transfer.to_participant,
-        prev_checksum,
-        record.output.digest,
-    )
-    if not detached_signature_valid(
-        key,
-        message,
-        transfer.countersignature,
-        transfer.counter_scheme,
-        proof=transfer.counter_proof,
-        hash_algorithm=record.hash_algorithm,
-        root_cache=verifier._root_cache,
-        participant_id=transfer.from_participant,
-    ):
-        fail(
-            "CUSTODY",
-            f"custody countersignature of {transfer.from_participant!r} "
-            "does not verify (forged or re-linked hand-off)",
-            record.seq_id,
-        )
-
-
-def _report(
-    checkpoint: Checkpoint, failures, records_checked: int
-) -> VerificationReport:
     return VerificationReport(
-        ok=not failures,
-        failures=tuple(failures),
-        records_checked=records_checked,
+        ok=not failures.items,
+        failures=tuple(failures.items),
+        records_checked=checked,
         objects_checked=1,
-        target_id=checkpoint.object_id,
+        target_id=object_id,
     )

@@ -367,6 +367,7 @@ class Verifier:
         chains: Dict[str, List[ProvenanceRecord]],
         failures: _Failures,
         start: int = 0,
+        seed: Optional[ProvenanceRecord] = None,
     ) -> int:
         """Verify one object's chain (from ``start``); returns records checked.
 
@@ -374,6 +375,10 @@ class Verifier:
         aggregate predecessor resolution, which only *reads* other
         chains — so distinct chains may be checked concurrently against
         the same ``chains`` index.
+
+        ``seed`` stands in for the record before ``chain[start]`` when
+        the chain does not hold it: a recipient's
+        :class:`repro.core.incremental.Checkpoint`.
         """
         with obs.phase(
             "verify.chain",
@@ -385,9 +390,10 @@ class Verifier:
             # suffix walk from ``start`` perform exactly the checks a full
             # walk performs on those records (the walk's only carried state
             # is ``previous``) — the incremental monitor's equivalence
-            # guarantee rests on this line.
+            # guarantee rests on this line, and so does the checkpoint
+            # resume's.
             previous: Optional[ProvenanceRecord] = (
-                chain[start - 1] if start > 0 else None
+                chain[start - 1] if start > 0 else seed
             )
             for record in chain[start:]:
                 checked += 1
@@ -483,7 +489,9 @@ class Verifier:
             )
         if previous is None:
             return  # unreachable for a well-sequenced chain; R2 already fired
-        if transfer.from_participant != previous.participant_id:
+        # A checkpoint seed names no author (see Checkpoint); the
+        # countersignature below still binds its checksum.
+        if previous.participant_id not in (None, transfer.from_participant):
             failures.add(
                 "CUSTODY",
                 record.object_id,
@@ -681,16 +689,6 @@ class Verifier:
         for chain in chains.values():
             chain.sort(key=lambda r: r.seq_id)
         return chains
-
-
-def _latest_before(
-    chain: List[ProvenanceRecord], seq_id: int
-) -> Optional[ProvenanceRecord]:
-    best = None
-    for record in chain:
-        if record.seq_id < seq_id:
-            best = record
-    return best
 
 
 # ---------------------------------------------------------------------------

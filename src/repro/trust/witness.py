@@ -1,23 +1,25 @@
 """Witness anchoring: an append-only, hash-linked log of chain tails.
 
-:class:`repro.core.anchor.AnchorService` already models per-record
-deposits a *recipient* checks at shipment time.  The witness here is the
-*monitor-side* counterpart for the multi-participant setting: a notary
-outside every custodian's control that periodically countersigns each
-object's chain tail — under the Merkle-batch scheme, the tail checksum is
-exactly the leaf bound into the participant's published batch root, so
-anchoring it pins the published root too — into an append-only log whose
-entries hash-link to their predecessors.  Each signature covers the
-previous entry's digest, so the log itself is tamper-evident: an insider
-cannot drop or reorder anchors without breaking either a hash link or a
-witness signature.
+The witness is a notary outside every custodian's control that
+countersigns chain tails — every object's in a periodic
+:meth:`Witness.tick`, or one object's on demand — into an append-only
+log whose entries hash-link to their predecessors.  Under the
+Merkle-batch scheme the tail checksum is exactly the leaf bound into the
+participant's published batch root, so anchoring it pins the published
+root too.  Each signature covers the previous entry's digest, so the
+log itself is tamper-evident: an insider cannot edit, reorder or drop
+anchors without breaking either a hash link or a witness signature —
+except the newest entry, whose removal leaves a shorter log that is still
+well formed.
 
 This closes the documented full-coalition gap: a coalition owning an
 entire chain suffix can re-sign it into an internally consistent forgery
 (:func:`repro.trust.coalition.coalition_rewrite`), but it cannot forge
 the witness's signature over the *original* tail checksum.  Once an
 anchor covers a region, :func:`check_anchors` (and the monitor's
-``witness-mismatch`` alert rule) flags any store state contradicting it.
+``witness-mismatch`` alert rule) flags any store state contradicting it,
+and :func:`verify_with_witness` flags any shipment contradicting it —
+the recipient-side close of the tail-truncation boundary (SECURITY.md).
 
 The witness sees only ``(object_id, seq_id, checksum)`` — opaque
 signature bytes, no data values — so the availability/privacy cost of
@@ -30,8 +32,9 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.verifier import VerificationFailure, VerificationReport
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import (
@@ -41,7 +44,13 @@ from repro.crypto.signatures import (
 )
 from repro.exceptions import VerificationError
 
-__all__ = ["WitnessAnchor", "AnchorLog", "Witness", "check_anchors"]
+__all__ = [
+    "WitnessAnchor",
+    "AnchorLog",
+    "Witness",
+    "check_anchors",
+    "verify_with_witness",
+]
 
 _LINK_HASH = "sha256"
 
@@ -265,6 +274,17 @@ class Witness:
         self.log.append(anchor)
         return anchor
 
+    def anchor_latest(self, store, object_id: str) -> WitnessAnchor:
+        """Countersign one object's current chain tail.
+
+        Raises:
+            VerificationError: If the object has no records.
+        """
+        tail = store.latest(object_id)
+        if tail is None:
+            raise VerificationError(f"no records for {object_id!r} to anchor")
+        return self.anchor_tail(object_id, tail.seq_id, tail.checksum)
+
     def tick(self, store) -> Tuple[WitnessAnchor, ...]:
         """Anchor every object's current chain tail (one witness round).
 
@@ -289,6 +309,41 @@ class Witness:
         return tuple(fresh)
 
 
+def _contradictions(
+    lookup: Callable[[str, int], object], log: AnchorLog, verifier: SignatureVerifier
+) -> Iterator[Tuple[str, str, int, str]]:
+    """Every way the records behind ``lookup(object_id, seq_id)``
+    contradict the witness, as ``(code, object_id, seq_id, reason)`` in
+    log order: ``ANCHOR`` for damage to the log itself, ``R7`` for an
+    anchored record that is missing or carries a different checksum."""
+    for position, reason in log.audit(verifier):
+        anchor = log.entries[position]
+        yield (
+            "ANCHOR",
+            anchor.object_id,
+            anchor.seq_id,
+            f"anchor log entry {position}: {reason}",
+        )
+    for anchor in log:
+        record = lookup(anchor.object_id, anchor.seq_id)
+        if record is None:
+            yield (
+                "R7",
+                anchor.object_id,
+                anchor.seq_id,
+                f"anchored record #{anchor.seq_id} is missing "
+                "(history truncated past the anchor)",
+            )
+        elif record.checksum != anchor.checksum:
+            yield (
+                "R7",
+                anchor.object_id,
+                anchor.seq_id,
+                f"record #{anchor.seq_id} contradicts its witness anchor "
+                "(history rewritten past the anchor)",
+            )
+
+
 def check_anchors(
     store, log: AnchorLog, verifier: SignatureVerifier
 ) -> Tuple[Tuple[str, int, str], ...]:
@@ -307,30 +362,40 @@ def check_anchors(
     Reads the store directly (no shipment needed) so the monitor can
     evaluate it every tick, even on the idle fast path.
     """
-    mismatches: List[Tuple[str, int, str]] = []
-    for position, reason in log.audit(verifier):
-        anchor = log.entries[position]
-        mismatches.append(
-            (anchor.object_id, anchor.seq_id, f"anchor log entry {position}: {reason}")
-        )
-    for anchor in log:
-        record = store.get(anchor.object_id, anchor.seq_id)
-        if record is None:
-            mismatches.append(
-                (
-                    anchor.object_id,
-                    anchor.seq_id,
-                    f"anchored record #{anchor.seq_id} is missing from the "
-                    "store (history truncated past the anchor)",
-                )
-            )
-        elif record.checksum != anchor.checksum:
-            mismatches.append(
-                (
-                    anchor.object_id,
-                    anchor.seq_id,
-                    f"record #{anchor.seq_id} contradicts its witness anchor "
-                    "(history rewritten past the anchor)",
-                )
-            )
-    return tuple(mismatches)
+    return tuple(
+        (object_id, seq_id, reason)
+        for _, object_id, seq_id, reason in _contradictions(store.get, log, verifier)
+    )
+
+
+def verify_with_witness(
+    shipment, keystore, log: AnchorLog, verifier: SignatureVerifier
+) -> VerificationReport:
+    """Shipment verification extended with the witness's anchors.
+
+    On top of the normal R1–R8 verification, every anchor for one of the
+    shipment's objects must match the shipped chain (the
+    :func:`check_anchors` comparison): a missing or different anchored
+    record is reported as ``R7``; anchors for objects outside the
+    shipment are ignored.  Damage anywhere in the log is reported as
+    ``ANCHOR`` whatever object the damaged entry names: a broken link is
+    only seen at the entry *after* the damage, and a log that has been
+    tampered with cannot vouch for any object.
+    """
+    report = shipment.verify(keystore)
+    by_key = {record.key: record for record in shipment.records}
+    shipped = {object_id for object_id, _ in by_key}
+    failures = list(report.failures)
+    for code, object_id, seq_id, reason in _contradictions(
+        lambda object_id, seq_id: by_key.get((object_id, seq_id)), log, verifier
+    ):
+        if code == "ANCHOR" or object_id in shipped:
+            failures.append(VerificationFailure(code, object_id, reason, seq_id))
+    return VerificationReport(
+        ok=not failures,
+        failures=tuple(failures),
+        records_checked=report.records_checked
+        + sum(1 for anchor in log if anchor.object_id in shipped),
+        objects_checked=report.objects_checked,
+        target_id=report.target_id,
+    )

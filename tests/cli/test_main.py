@@ -20,6 +20,31 @@ def run(lab, *argv):
     return main(["-w", lab, *argv])
 
 
+def truncate_x_to_first_record(lab):
+    """An attacker with store access erases x's seq-1 record and rewrites
+    the data to match the surviving history."""
+    import sqlite3
+
+    from repro.model.values import encode_value
+
+    conn = sqlite3.connect(f"{lab}/provenance.db")
+    conn.execute("DELETE FROM provenance WHERE object_id = 'x' AND seq_id = 1")
+    conn.commit()
+    conn.close()
+    conn = sqlite3.connect(f"{lab}/backend.db")
+    conn.execute(
+        "UPDATE nodes SET value = ? WHERE object_id = 'x'", (encode_value(1),)
+    )
+    conn.commit()
+    conn.close()
+
+
+def audited_entries(lab, capsys):
+    capsys.readouterr()
+    code = run(lab, "trust", "audit", "--json")
+    return code, json.loads(capsys.readouterr().out)["entries"]
+
+
 class TestParseValue:
     @pytest.mark.parametrize("text,expected", [
         ("42", 42),
@@ -131,26 +156,10 @@ class TestCommands:
     def test_anchor_detects_store_truncation(self, lab, capsys):
         """Truncating the provenance database behind the system's back is
         caught by the anchored checksum."""
-        import sqlite3
-
         run(lab, "insert", "x", "1", "--as", "alice")
         run(lab, "update", "x", "2", "--as", "bob")
         run(lab, "anchor", "x")
-        # An attacker with store access erases the anchored record...
-        conn = sqlite3.connect(f"{lab}/provenance.db")
-        conn.execute("DELETE FROM provenance WHERE object_id = 'x' AND seq_id = 1")
-        conn.commit()
-        conn.close()
-        # ...and rewrites the data to match the surviving history.
-        conn = sqlite3.connect(f"{lab}/backend.db")
-        from repro.model.values import encode_value
-
-        conn.execute(
-            "UPDATE nodes SET value = ? WHERE object_id = 'x'",
-            (encode_value(1),),
-        )
-        conn.commit()
-        conn.close()
+        truncate_x_to_first_record(lab)
         capsys.readouterr()
         assert run(lab, "verify", "x") == 0  # plain verification fooled
         assert run(lab, "verify", "x", "--anchors") == 1  # anchor catches it
@@ -208,6 +217,41 @@ class TestCommands:
         run(lab, "update", "x", "2", "--as", "bob")
         assert run(lab, "lint") == 0
         assert "LINT OK" in capsys.readouterr().out
+
+
+class TestWitnessLog:
+    """``anchor``, ``verify --anchors``, ``trust witness-tick`` and
+    ``trust audit`` share one witness and one log, in the workspace."""
+
+    def test_anchor_is_seen_by_trust_audit(self, lab, capsys):
+        run(lab, "insert", "x", "1", "--as", "alice")
+        assert run(lab, "anchor", "x") == 0
+        assert audited_entries(lab, capsys) == (0, 1)
+        assert run(lab, "anchor", "ghost") == 2
+        assert "no records" in capsys.readouterr().err
+
+    def test_witness_tick_is_used_by_verify_anchors(self, lab, capsys):
+        run(lab, "insert", "x", "1", "--as", "alice")
+        run(lab, "update", "x", "2", "--as", "bob")
+        assert run(lab, "trust", "witness-tick") == 0
+        assert run(lab, "verify", "x", "--anchors") == 0
+        truncate_x_to_first_record(lab)
+        capsys.readouterr()
+        assert run(lab, "verify", "x", "--anchors") == 1
+        assert "R7" in capsys.readouterr().out
+
+    def test_audit_from_another_directory(self, lab, capsys, tmp_path, monkeypatch):
+        run(lab, "insert", "x", "1", "--as", "alice")
+        run(lab, "update", "x", "2", "--as", "bob")
+        monkeypatch.chdir(lab)
+        assert main(["trust", "witness-tick"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert audited_entries(lab, capsys) == (0, 1)
+        truncate_x_to_first_record(lab)
+        assert audited_entries(lab, capsys) == (1, 1)
+        assert not list(elsewhere.iterdir())
 
 
 class TestShipments:

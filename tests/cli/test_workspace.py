@@ -86,21 +86,27 @@ class TestAnchors:
             alice = ws.enroll("alice")
             db = ws.database()
             db.session(alice).insert("x", 1)
-            service = ws.anchor_service()
-            ws.save_anchor(service.anchor_latest(db, "x"))
+            witness = ws.witness()
+            witness.anchor_latest(db.provenance_store, "x")
+            ws.save_witness(witness)
         with Workspace(path) as reopened:
-            receipts = reopened.anchor_receipts()
-            assert len(receipts) == 1
-            assert receipts[0].object_id == "x"
-            # The reloaded service continues the counter and verifies its
-            # own earlier receipts.
-            service = reopened.anchor_service()
-            assert service.verifier().verify(
-                receipts[0].payload(), receipts[0].signature
-            )
+            # The reloaded witness holds the same key: it verifies its own
+            # earlier anchor and continues the hash-linked log.
+            witness = reopened.witness()
+            assert [a.object_id for a in witness.log] == ["x"]
+            assert witness.log.audit(witness.verifier()) == ()
             db = reopened.database()
-            next_receipt = service.anchor_latest(db, "x")
-            assert next_receipt.counter == receipts[0].counter + 1
+            db.session(reopened.participant("alice")).update("x", 2)
+            next_anchor = witness.anchor_latest(db.provenance_store, "x")
+            assert next_anchor.index == 1
+            assert witness.log.audit(witness.verifier()) == ()
+
+    def test_legacy_anchor_receipts_refused(self, tmp_path):
+        path = tmp_path / "lab"
+        with Workspace.create(path, key_bits=KEY_BITS) as ws:
+            (path / "anchors.json").write_text("[]")
+            with pytest.raises(WorkspaceError, match="anchors.json"):
+                ws.witness()
 
 
 class TestDatabase:

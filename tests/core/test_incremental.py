@@ -1,13 +1,17 @@
 """Unit tests for incremental (checkpoint-based) verification."""
 
 import dataclasses
+import json
+import random
 
 import pytest
 
 from repro.core.incremental import Checkpoint, verify_extension
+from repro.core.system import TamperEvidentDatabase
 from repro.core.verifier import Verifier
 from repro.exceptions import VerificationError
 from repro.provenance.snapshot import SubtreeSnapshot
+from repro.trust.custody import transfer_custody
 
 
 @pytest.fixture
@@ -139,6 +143,31 @@ class TestVerifyExtension:
         assert not report.ok
         assert "STRUCT" in report.requirement_codes()
 
+    def test_rewritten_inline_value_detected(self, world):
+        """The value riding on a record must hash to its digest — the
+        same R1 check a full verification runs."""
+        db, session, verifier, checkpoint = world
+        session.update("feed", 3)
+        snapshot, records = self._delivery(db, checkpoint)
+        assert records[0].output.has_value
+        forged_output = dataclasses.replace(records[0].output, value=999)
+        records[0] = dataclasses.replace(records[0], output=forged_output)
+        report = verify_extension(verifier, checkpoint, snapshot, records)
+        assert not report.ok
+        assert [f.requirement for f in report.failures] == ["R1"]
+        assert "inlined value 999" in report.failures[0].message
+
+    def test_unknown_checkpoint_hash_algorithm_reported(self, world):
+        """A checkpoint edited on disk is reported, not raised."""
+        db, _, verifier, checkpoint = world
+        data = json.loads(checkpoint.to_json())
+        data["hash_algorithm"] = "md17"
+        edited = Checkpoint.from_json(json.dumps(data))
+        snapshot, records = self._delivery(db, edited)
+        report = verify_extension(verifier, edited, snapshot, records)
+        assert not report.ok
+        assert report.requirement_codes() == ("STRUCT",)
+
     def test_unknown_participant_detected(self, world):
         db, session, verifier, checkpoint = world
         session.update("feed", 3)
@@ -162,3 +191,101 @@ class TestVerifyExtension:
         report = verify_extension(verifier, new_checkpoint, snapshot2, records2)
         assert report.ok
         assert report.records_checked == 1
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the full verifier
+# ---------------------------------------------------------------------------
+
+
+def _custody_world(tedb, participants, keystore):
+    """feed: p1 inserts and updates (checkpointed at seq 1), hands custody
+    to p2 right at the seam (seq 2), and p2 updates twice (seq 3, 4)."""
+    p1, p2 = participants["p1"], participants["p2"]
+    first = tedb.session(p1)
+    first.insert("feed", 1)
+    first.update("feed", 2)
+    checkpoint = Checkpoint.from_records("feed", tedb.provenance_of("feed"))
+    transfer_custody(tedb.provenance_store, "feed", p1, p2)
+    second = tedb.session(p2)
+    second.update("feed", 3)
+    second.update("feed", 4)
+    snapshot = SubtreeSnapshot.capture(tedb.store, "feed")
+    return Verifier(keystore), checkpoint, snapshot, list(tedb.provenance_of("feed"))
+
+
+def _tampered(seq_id, tamper):
+    def case(tedb, participants, keystore):
+        verifier, checkpoint, snapshot, records = _custody_world(
+            tedb, participants, keystore
+        )
+        records = [tamper(r) if r.seq_id == seq_id else r for r in records]
+        return verifier, checkpoint, snapshot, records
+
+    return case
+
+
+def _merkle_proof_epoch(tedb, participants, keystore):
+    """The Merkle-batch case of ``tests/crypto/test_merkle_batch.py``: an
+    extension record whose proof names the wrong epoch."""
+    db = TamperEvidentDatabase(
+        key_bits=512, rng=random.Random(2), signature_scheme="merkle-batch"
+    )
+    session = db.session(db.enroll("writer"))
+    session.insert("x", 1)
+    session.update("x", 2)
+    checkpoint = Checkpoint.from_records("x", db.provenance_of("x"))
+    session.update("x", 3)
+    records = list(db.provenance_of("x"))
+    tail = records[-1]
+    records[-1] = tail.with_proof(
+        dataclasses.replace(tail.proof, epoch=tail.proof.epoch + 7)
+    )
+    snapshot = SubtreeSnapshot.capture(db.store, "x")
+    return Verifier(db.keystore()), checkpoint, snapshot, records
+
+
+CASES = {
+    "clean": _custody_world,
+    "inline-value": _tampered(
+        3, lambda r: dataclasses.replace(
+            r, output=dataclasses.replace(r.output, value=999)
+        )
+    ),
+    "forged-checksum": _tampered(
+        3, lambda r: r.with_checksum(b"\x00" * len(r.checksum))
+    ),
+    "relinked-input": _tampered(
+        4, lambda r: dataclasses.replace(
+            r, inputs=(dataclasses.replace(r.inputs[0], digest=b"\x00" * 20),)
+        )
+    ),
+    "unknown-participant": _tampered(
+        3, lambda r: dataclasses.replace(r, participant_id="stranger")
+    ),
+    "forged-countersignature": _tampered(
+        2, lambda r: dataclasses.replace(
+            r, transfer=dataclasses.replace(
+                r.transfer, countersignature=b"\x01" * len(r.transfer.countersignature)
+            )
+        )
+    ),
+    "merkle-proof-epoch": _merkle_proof_epoch,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_extension_failures_equal_full_verification(case, tedb, participants, keystore):
+    """Resuming from a checkpoint reports exactly what a full walk
+    reports past it: both run ``Verifier._check_chain``."""
+    verifier, checkpoint, snapshot, records = CASES[case](
+        tedb, participants, keystore
+    )
+    extension = verify_extension(verifier, checkpoint, snapshot, records)
+    full = verifier.verify_records(records)
+    past_checkpoint = [
+        f for f in full.failures
+        if f.seq_id is not None and f.seq_id > checkpoint.seq_id
+    ]
+    assert list(extension.failures) == past_checkpoint
+    assert extension.ok is (case == "clean")
