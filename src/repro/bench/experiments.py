@@ -1702,10 +1702,9 @@ def run_service_bench(
         victim_world = server.service.world(spec.tenant_of(0))
         victim_id = spec.object_of(0)
         victim = victim_world.store.latest(victim_id)
-        shard = victim_world.store._shard_for(victim_id)
         import dataclasses as _dc
 
-        shard._chains[victim_id][-1] = _dc.replace(
+        victim_world.store._chains[victim_id][-1] = _dc.replace(
             victim, checksum=b"\x00" * len(victim.checksum)
         )
         tampered_status = probe.healthz().status

@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs the provenance-as-a-service front end: a threaded HTTP "
             "server with one isolated tamper-evident world per tenant "
-            "(engine + collector + sharded provenance store + health "
+            "(engine + collector + provenance store + health "
             "monitor), CA-signed API keys, and /healthz wired to the "
             "monitor (non-200 iff any tenant looks tampered). On startup "
             "it prints one JSON line with the bound URL and the admin "
@@ -375,17 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-bits", type=int, default=1024)
     p.add_argument("--scheme", choices=("rsa", "rsa-per-record", "merkle-batch"),
                    default="rsa", help="signature scheme for tenant worlds")
-    p.add_argument("--shards", type=int, default=4,
-                   help="provenance shards per tenant")
     p.add_argument("--store-root", default=None, metavar="DIR",
-                   help="directory for per-tenant SQLite shard files "
-                        "(default: in-memory)")
+                   help="directory for per-tenant SQLite stores "
+                        "(DIR/<tenant>/provenance.sqlite; default: in-memory)")
     p.add_argument("--retry-after", type=float, default=0.05,
                    help="Retry-After seconds sent with 503 responses")
     p.add_argument("--witness", action="store_true",
                    help="per-tenant witness anchoring: /healthz monitors "
                         "check an anchor log an insider rewrite must "
-                        "contradict (persisted beside --store-root shards)")
+                        "contradict (persisted beside each --store-root store)")
     p.add_argument("--events", default=None, metavar="PATH",
                    help="append structured events to this JSONL file")
     p.add_argument("--events-max-bytes", type=int, default=None, metavar="N",
@@ -1222,7 +1220,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
         key_bits=args.key_bits,
         signature_scheme=args.scheme,
-        shards=args.shards,
         store_root=args.store_root,
         witness=args.witness,
         monitor_interval=args.monitor_interval,
@@ -1237,7 +1234,6 @@ def _cmd_serve(args) -> int:
             "url": server.base_url,
             "admin_token": server.service.admin_token,
             "scheme": config.resolved_scheme(),
-            "shards": config.shards,
             "store_root": config.store_root,
             "monitor_interval": config.monitor_interval,
         }), flush=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, Optional, Tuple
 
-from repro.exceptions import CrashError, ProvenanceError
+from repro.exceptions import CrashError
 from repro.faults.plan import FaultKind, FaultPlan, _raise_for
 from repro.provenance.records import ProvenanceRecord
 from repro.provenance.store import BatchJournalEntry, ChainTail, VerifiedWatermark
@@ -76,9 +76,6 @@ class FaultyStore:
             rule, index = fired
             if rule.kind is FaultKind.TORN:
                 keep = self.plan.torn_keep(rule, index, len(batch))
-                # An int for single stores, a tuple of per-shard ids for
-                # sharded ones; informational only — recovery finds every
-                # torn sub-batch by walking journal().
                 batch_id = self.inner.begin_torn_batch(batch, keep)
                 raise CrashError(
                     f"simulated crash tore batch {batch_id} at "
@@ -133,9 +130,7 @@ class FaultyStore:
     def journal(self) -> Tuple[BatchJournalEntry, ...]:
         return self.inner.journal()
 
-    def begin_torn_batch(self, records: Iterable[ProvenanceRecord], keep: int):
-        # Passes the inner store's batch id(s) through unchanged (an int
-        # for single stores, a tuple for sharded ones).
+    def begin_torn_batch(self, records: Iterable[ProvenanceRecord], keep: int) -> int:
         return self.inner.begin_torn_batch(records, keep)
 
     def discard(self, object_id: str, seq_id: int) -> bool:
@@ -162,10 +157,7 @@ class FaultyStore:
     def _tail(self, object_id: str) -> Optional[ChainTail]:
         # Internal helper some callers (recovery, tests) reach for; not a
         # fault site — it reflects true store state.
-        tail = getattr(self.inner, "_tail", None)
-        if tail is None:
-            raise ProvenanceError("inner store exposes no chain-tail accessor")
-        return tail(object_id)
+        return self.inner._tail(object_id)
 
     def close(self) -> None:
         close = getattr(self.inner, "close", None)

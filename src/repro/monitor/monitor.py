@@ -330,15 +330,9 @@ class ProvenanceMonitor:
             return False
         if set(self.store.object_ids()) != set(watermarks):
             return False
-        tail_of = getattr(self.store, "_tail", None)
         for oid in sorted(watermarks):
             wm = watermarks[oid]
-            if tail_of is not None:
-                tail = tail_of(oid)
-            else:
-                latest = self.store.latest(oid)
-                tail = (latest.seq_id, latest.checksum) if latest else None
-            if tail != (wm.seq_id, wm.checksum):
+            if self.store._tail(oid) != (wm.seq_id, wm.checksum):
                 return False
         return True
 

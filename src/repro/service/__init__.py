@@ -3,7 +3,7 @@
 The paper's threat model (§2.2) assumes *many mutually-distrusting
 participants* recording provenance into a shared notarized store; this
 package is that deployment shape.  A long-running HTTP service wraps the
-engine + collector behind per-tenant sharded stores:
+engine + collector behind one provenance store per tenant:
 
 - :mod:`repro.service.auth` — API keys as CA-signed bearer tokens
   (issue / validate / expire / revoke), rooted in the same
@@ -11,7 +11,7 @@ engine + collector behind per-tenant sharded stores:
   certifies participant signing keys.
 - :mod:`repro.service.core` — :class:`~repro.service.core.ProvenanceService`,
   the transport-independent core: one
-  :class:`~repro.service.core.TenantWorld` (engine, collector, sharded
+  :class:`~repro.service.core.TenantWorld` (engine, collector,
   provenance store, signing participant, monitor) per tenant, with
   deterministic per-tenant seeding so a same-seed in-process world is
   byte-identical to the served one.

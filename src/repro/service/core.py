@@ -1,8 +1,8 @@
 """The transport-independent service core: tenant worlds + dispatch.
 
 :class:`ProvenanceService` is everything the HTTP front end does *minus*
-HTTP: a registry of per-tenant worlds (engine, collector, sharded
-provenance store, signing participant, health monitor), an API-key
+HTTP: a registry of per-tenant worlds (engine, collector, provenance
+store, signing participant, health monitor), an API-key
 authority, and the request operations (record / batch / verify / lineage
 / health / recovery) returning JSON-ready dicts.
 
@@ -45,7 +45,7 @@ from repro.core.system import ParticipantSession, TamperEvidentDatabase
 from repro.crypto.pki import CertificateAuthority, KeyStore, resolve_scheme_name
 from repro.exceptions import ReproError, ServiceError, UnknownObjectError
 from repro.obs import OBS
-from repro.provenance.registry import open_tenant_store
+from repro.provenance.registry import open_tenant_store, tenant_dir
 from repro.query.lineage import lineage_summary
 from repro.service.auth import ApiKeyAuthority
 
@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover — service stays import-light
 
 __all__ = [
     "AUDIT_OBJECT",
+    "MAX_BATCH_OPS",
     "ServiceConfig",
     "TenantWorld",
     "ProvenanceService",
@@ -62,6 +63,12 @@ __all__ = [
 
 #: Object id of each tenant's verification audit chain.
 AUDIT_OBJECT = "~audit"
+
+#: Most operations one :meth:`ProvenanceService.batch` accepts.  A batch
+#: holds its tenant's lock for its whole run, so an unbounded one (a
+#: 1 MiB body fits ~22k ops) would stall every other request of that
+#: tenant for tens of seconds under per-record RSA.
+MAX_BATCH_OPS = 256
 
 
 def canonical_json(payload: Dict[str, object]) -> bytes:
@@ -82,9 +89,8 @@ class ServiceConfig:
     key_bits: int = 1024
     signature_scheme: str = "rsa-pkcs1v15"
     hash_algorithm: str = "sha1"
-    #: Provenance shards per tenant.
-    shards: int = 4
-    #: Directory for SQLite shard files; None keeps every store in memory.
+    #: Directory for per-tenant SQLite stores; None keeps every store
+    #: in memory.
     store_root: Optional[str] = None
     #: Verification workers for monitor cold/full passes (1 = serial).
     workers: int = 1
@@ -98,7 +104,7 @@ class ServiceConfig:
     #: healthz monitors check, so even a full insider rewrite of a
     #: tenant store surfaces as ``witness-mismatch`` tampering.  With
     #: ``store_root`` set, each tenant's anchor log persists beside its
-    #: shard files and restarts resume it.
+    #: store file and restarts resume it.
     witness: bool = False
     #: Optional fault plan consulted at the service.request boundary and
     #: wired into every tenant's store + collector (chaos testing).
@@ -132,7 +138,7 @@ class TenantWorld:
         self.config = config
         self.lock = threading.RLock()
         rng = random.Random(f"{config.seed}|tenant|{tenant_id}")
-        store = open_tenant_store(config.store_root, tenant_id, config.shards)
+        store = open_tenant_store(config.store_root, tenant_id)
         if config.faults is not None:
             from repro.faults.store import FaultyStore
 
@@ -162,16 +168,13 @@ class TenantWorld:
         self.witness = None
         self._anchor_path: Optional[str] = None
         if config.witness:
-            from repro.provenance.registry import tenant_store_paths
             from repro.trust.witness import AnchorLog, Witness
 
             log = AnchorLog()
             if config.store_root is not None:
-                shard_paths = tenant_store_paths(
-                    config.store_root, tenant_id, config.shards
-                )
                 self._anchor_path = os.path.join(
-                    os.path.dirname(shard_paths[0]), "witness-anchors.jsonl"
+                    tenant_dir(config.store_root, tenant_id),
+                    "witness-anchors.jsonl",
                 )
                 log = AnchorLog.load(self._anchor_path)
             self.witness = Witness.generate(
@@ -333,6 +336,10 @@ class ProvenanceService:
             raise ServiceError("batch ops must be a list of operation objects")
         if not ops:
             raise ServiceError("batch needs at least one operation")
+        if len(ops) > MAX_BATCH_OPS:
+            raise ServiceError(
+                f"batch has {len(ops)} operations; the limit is {MAX_BATCH_OPS}"
+            )
         for op in ops:
             if not isinstance(op, dict):
                 raise ServiceError(

@@ -12,6 +12,7 @@ Routes (all bodies and responses are JSON):
 POST   /v1/record                   apply one primitive (insert/update/
                                     delete/aggregate) with provenance
 POST   /v1/batch                    several mutations as one complex op
+                                    (at most ``MAX_BATCH_OPS``)
 POST   /v1/verify                   verify an object; notarizes a VERIFY
                                     record on the tenant's audit chain
 GET    /v1/objects                  object ids with provenance

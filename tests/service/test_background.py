@@ -42,8 +42,7 @@ def _tamper_tail(service, tenant: str, object_id: str) -> None:
     with world.lock:
         record = world.store.records_for(object_id)[-1]
         forged = dataclasses.replace(record, checksum=b"\x00" * 16)
-        shard = world.store._shard_for(object_id)
-        shard._chains[object_id][-1] = forged
+        world.store._chains[object_id][-1] = forged
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import ServiceError, UnknownObjectError
 from repro.service import AUDIT_OBJECT, ProvenanceService, canonical_json
-from repro.service.core import ServiceConfig
+from repro.service.core import MAX_BATCH_OPS, ServiceConfig
 
 from tests.service.conftest import make_config
 
@@ -47,6 +47,18 @@ class TestOperations:
             service.batch("acme", [
                 {"op": "aggregate", "object_id": "x", "inputs": ["a"]},
             ])
+
+    def test_batch_is_capped_at_max_batch_ops(self, service):
+        ops = [
+            {"op": "insert", "object_id": f"o{i}", "value": i}
+            for i in range(MAX_BATCH_OPS + 1)
+        ]
+        with pytest.raises(ServiceError, match="limit is 256"):
+            service.batch("acme", ops)
+        assert service.objects("acme")["objects"] == []
+        out = service.batch("acme", ops[:MAX_BATCH_OPS])
+        assert out["ops"] == MAX_BATCH_OPS
+        assert len(service.objects("acme")["objects"]) == MAX_BATCH_OPS
 
     def test_batch_rejects_non_dict_ops(self, service):
         for bad in (["nope"], [42], [None], "nope", {"op": "insert"}, 7):
@@ -191,8 +203,7 @@ class TestHealth:
         # Tamper with raw store access: forge the tail checksum in place.
         world = service.world("acme")
         victim = world.store.latest("doc")
-        shard = world.store._shard_for("doc")
-        shard._chains["doc"][-1] = dataclasses.replace(
+        world.store._chains["doc"][-1] = dataclasses.replace(
             victim, checksum=b"\x00" * len(victim.checksum)
         )
 
@@ -214,13 +225,30 @@ class TestHealth:
         service.record("bad", "insert", "doc", value=1)
         world = service.world("bad")
         victim = world.store.latest("doc")
-        world.store._shard_for("doc")._chains["doc"][-1] = dataclasses.replace(
+        world.store._chains["doc"][-1] = dataclasses.replace(
             victim, checksum=b"\x00" * len(victim.checksum)
         )
         payload, tampered = service.healthz()
         assert tampered
         assert payload["tenants"]["good"]["health"] == "ok"
         assert payload["tenants"]["bad"]["health"] == "tampered"
+
+    def test_durable_batch_commits_as_one_journal_entry(self, tmp_path):
+        """A batch is one append_many on the tenant's one store: one
+        transaction, one committed journal entry naming every record."""
+        svc = ProvenanceService(make_config(store_root=str(tmp_path)))
+        try:
+            ids = [f"obj{i}" for i in range(16)]
+            svc.batch("acme", [
+                {"op": "insert", "object_id": oid, "value": i}
+                for i, oid in enumerate(ids)
+            ])
+            journal = svc.world("acme").store.journal()
+            assert len(journal) == 1
+            assert journal[0].committed
+            assert sorted(journal[0].keys) == [(oid, 0) for oid in sorted(ids)]
+        finally:
+            svc.close()
 
     def test_sqlite_backed_worlds(self, tmp_path):
         svc = ProvenanceService(make_config(store_root=str(tmp_path)))

@@ -9,7 +9,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.service import ServiceClient
+from repro.exceptions import ServiceError
+from repro.service import ServiceClient, canonical_json
+from repro.service.core import MAX_BATCH_OPS
 from repro.service.http import MAX_BODY_BYTES
 
 
@@ -48,6 +50,25 @@ class TestRouting:
             )
             assert response.status == 400
             assert "error" in response.json
+
+    def test_oversized_batch_is_400_with_the_in_process_error(
+        self, tenant_client, server
+    ):
+        c = tenant_client("acme")
+        ops = [
+            {"op": "insert", "object_id": f"o{i}", "value": i}
+            for i in range(MAX_BATCH_OPS + 1)
+        ]
+        response = c.request(
+            "POST", "/v1/batch", {"ops": ops}, raise_for_status=False
+        )
+        assert response.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            server.service.batch("acme", ops)
+        assert response.raw == canonical_json({"error": str(excinfo.value)})
+        assert c.objects()["objects"] == []
+        assert c.batch(ops[:MAX_BATCH_OPS])["ops"] == MAX_BATCH_OPS
+        assert len(c.objects()["objects"]) == MAX_BATCH_OPS
 
     def test_unknown_object_is_404(self, tenant_client):
         c = tenant_client("acme")
@@ -191,7 +212,7 @@ class TestHealthz:
         c.insert("doc", 1)
         world = server.service.world("acme")
         victim = world.store.latest("doc")
-        world.store._shard_for("doc")._chains["doc"][-1] = dataclasses.replace(
+        world.store._chains["doc"][-1] = dataclasses.replace(
             victim, checksum=b"\x00" * len(victim.checksum)
         )
         response = ServiceClient(server.base_url).healthz()

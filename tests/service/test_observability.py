@@ -314,8 +314,7 @@ class TestTamperVisibility:
         with world.lock:
             record = world.store.records_for(object_id)[-1]
             forged = dataclasses.replace(record, checksum=b"\x00" * 16)
-            shard = world.store._shard_for(object_id)
-            shard._chains[object_id][-1] = forged
+            world.store._chains[object_id][-1] = forged
 
     def test_tampered_tenant_shows_r1_in_metrics_and_alert_stream(
         self, obs_full, admin, tenant_client, server
