@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.core.incremental import Checkpoint, verify_extension
+from repro.core import Checkpoint, verify_extension
 from repro.core.system import TamperEvidentDatabase
 from repro.core.verifier import Verifier
 from repro.crypto.pki import CertificateAuthority, KeyStore, Participant
@@ -72,7 +72,7 @@ def test_incremental_verification_of_one_update(benchmark, pki):
     for i in range(63):
         session.update("x", i)
     verifier = Verifier(keystore)
-    checkpoint = Checkpoint.from_records("x", db.provenance_of("x"))
+    checkpoint = Checkpoint.of(db.provenance_of("x"))
     session.update("x", 999)
     shipment = db.ship("x")
     new_records = [r for r in shipment.records if r.seq_id > checkpoint.seq_id]

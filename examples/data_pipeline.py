@@ -18,9 +18,8 @@ Run:  python examples/data_pipeline.py
 
 from repro import TamperEvidentDatabase
 from repro.audit.dot import to_dot
-from repro.core.incremental import Checkpoint, verify_extension
+from repro.core import Checkpoint, Verifier, verify_extension
 from repro.core.redaction import redact_object_values
-from repro.core.verifier import Verifier
 from repro.provenance.compaction import compact
 from repro.provenance.opm import to_opm
 from repro.provenance.snapshot import SubtreeSnapshot
@@ -43,7 +42,9 @@ verifier = Verifier(consumer_keystore)
 first = db.ship("rollup-night1")
 report = verifier.verify(first.snapshot, first.records, "rollup-night1")
 print("first drop      :", report.summary())
-checkpoint = Checkpoint.from_records("rollup-night1", first.records)
+checkpoint = Checkpoint.of(
+    [r for r in first.records if r.object_id == "rollup-night1"]
+)
 print("checkpoint      : seq", checkpoint.seq_id)
 
 # --- stage 3: a correction lands; the consumer verifies incrementally -------

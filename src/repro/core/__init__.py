@@ -7,12 +7,11 @@
 - :mod:`repro.core.collector` — turns engine events into signed records,
   with provenance inheritance (§4.2) and complex operations (§4.4).
 - :mod:`repro.core.verifier` — the data recipient's verification
-  procedure with R1–R8 diagnostics.
+  procedure with R1–R8 diagnostics, resumable from a
+  :class:`~repro.provenance.store.Checkpoint` (``verify_extension`` for
+  repeat recipients).
 - :mod:`repro.core.shipment` — the (data, provenance, certificates)
   bundle exchanged with recipients.
-- :mod:`repro.core.incremental` — checkpoint-based verification for
-  repeat recipients (the verifier's own chain walk, resumed from a
-  checkpoint).
 - :mod:`repro.core.redaction` — selective disclosure of shipped values.
 - :mod:`repro.core.concurrent` — thread-safe sessions with per-tree
   locking (§3.2's parallel chain construction).
@@ -22,7 +21,6 @@
 
 from repro.core.collector import ChecksumCollector
 from repro.core.concurrent import ConcurrentSession, TreeLockManager, concurrent_sessions
-from repro.core.incremental import Checkpoint, verify_extension
 from repro.core.redaction import (
     redact_object_values,
     redact_participant_values,
@@ -43,7 +41,9 @@ from repro.core.verifier import (
     VerificationFailure,
     VerificationReport,
     Verifier,
+    verify_extension,
 )
+from repro.provenance.store import Checkpoint
 
 __all__ = [
     "TamperEvidentDatabase",

@@ -18,9 +18,10 @@ evidence violates.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.core import checksum as payloads
@@ -34,12 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover — core stays import-decoupled from fault
     from repro.faults.plan import FaultPlan, FaultRule
 from repro.provenance.records import Operation, ProvenanceRecord
 from repro.provenance.snapshot import SubtreeSnapshot
+from repro.provenance.store import Checkpoint
 
 __all__ = [
     "VerificationFailure",
     "VerificationReport",
     "Verifier",
     "ParallelVerifier",
+    "verify_extension",
 ]
 
 
@@ -251,25 +254,25 @@ class Verifier:
         _observe_report(report)
         return report
 
-    def verify_incremental(
+    def verify_from(
         self,
         records: Sequence[ProvenanceRecord],
-        skip: Dict[str, int],
+        checkpoints: Dict[str, Checkpoint],
         observe: bool = True,
     ) -> VerificationReport:
-        """Verify only each chain's *uncovered suffix* (watermark resume).
+        """Verify each chain past its checkpoint (resumed verification).
 
-        ``skip`` maps object id → how many leading records of that
-        object's chain are already covered by a validated watermark
-        (``0`` or a missing entry means verify the whole chain; a value
-        ≥ the chain length skips the chain entirely).  The caller —
-        :class:`repro.monitor.ProvenanceMonitor` — is responsible for
-        re-validating the watermark *anchor* before trusting a nonzero
-        skip; given a sound anchor, the failures reported for the suffix
-        are byte-identical to the corresponding slice of a full
-        :meth:`verify_records` run (see ``_check_chain``).
+        A chain with an entry in ``checkpoints`` is walked over its
+        records with ``seq_id > checkpoint.seq_id``, seeded with the
+        checkpoint; every other chain is walked whole.  The caller must
+        trust each checkpoint: a recipient's comes from its own earlier
+        full verification (:func:`verify_extension`), and
+        :class:`repro.monitor.ProvenanceMonitor` re-validates its persisted
+        ones against the live chain.  Given that, the failures reported
+        for the walked records are byte-identical to the corresponding
+        slice of a full :meth:`verify_records` run (see ``_check_chain``).
 
-        Suffix walks are always serial (suffixes are short by
+        Resumed walks are always serial (suffixes are short by
         construction); cold and full passes should use
         :meth:`verify_records`, which routes through the configured
         serial/parallel ``_check_chains``.
@@ -287,11 +290,14 @@ class Verifier:
             objects = 0
             for object_id in sorted(chains):
                 chain = chains[object_id]
-                start = min(max(0, skip.get(object_id, 0)), len(chain))
-                if start >= len(chain):
-                    continue  # fully covered: nothing new to check
+                seed = checkpoints.get(object_id)
+                if seed is not None:
+                    first = bisect_right(chain, seed.seq_id, key=lambda r: r.seq_id)
+                    chain = chain[first:]
+                    if not chain:
+                        continue  # fully covered: nothing new to check
                 objects += 1
-                checked += self._check_chain(chain, chains, failures, start=start)
+                checked += self._check_chain(chain, chains, failures, seed=seed)
             report = VerificationReport(
                 ok=not failures.items,
                 failures=tuple(failures.items),
@@ -366,36 +372,30 @@ class Verifier:
         chain: List[ProvenanceRecord],
         chains: Dict[str, List[ProvenanceRecord]],
         failures: _Failures,
-        start: int = 0,
-        seed: Optional[ProvenanceRecord] = None,
+        seed: Optional[Checkpoint] = None,
     ) -> int:
-        """Verify one object's chain (from ``start``); returns records checked.
+        """Verify one object's chain; returns records checked.
 
         Chains are independent (§3.2's local chaining) except for
         aggregate predecessor resolution, which only *reads* other
         chains — so distinct chains may be checked concurrently against
         the same ``chains`` index.
 
-        ``seed`` stands in for the record before ``chain[start]`` when
-        the chain does not hold it: a recipient's
-        :class:`repro.core.incremental.Checkpoint`.
+        ``seed`` is the :class:`Checkpoint` of the records before
+        ``chain[0]`` when the walk resumes rather than starts.
         """
         with obs.phase(
             "verify.chain",
             object_id=chain[0].object_id if chain else "?",
-            records=len(chain) - start,
+            records=len(chain),
         ):
             checked = 0
-            # Seeding ``previous`` with the last covered record makes a
-            # suffix walk from ``start`` perform exactly the checks a full
-            # walk performs on those records (the walk's only carried state
-            # is ``previous``) — the incremental monitor's equivalence
-            # guarantee rests on this line, and so does the checkpoint
-            # resume's.
-            previous: Optional[ProvenanceRecord] = (
-                chain[start - 1] if start > 0 else seed
-            )
-            for record in chain[start:]:
+            # The walk's only carried state is ``previous``, and a checkpoint
+            # answers every field read from it, so a seeded walk performs
+            # exactly the checks a full walk performs on the same records:
+            # the monitor's and the recipient's guarantees rest on this line.
+            previous: Union[ProvenanceRecord, Checkpoint, None] = seed
+            for record in chain:
                 checked += 1
                 self._check_inline_values(record, failures)
                 prev_checksums = self._resolve_predecessors(
@@ -445,7 +445,7 @@ class Verifier:
     def _check_custody(
         self,
         record: ProvenanceRecord,
-        previous: Optional[ProvenanceRecord],
+        previous: Union[ProvenanceRecord, Checkpoint, None],
         failures: _Failures,
     ) -> None:
         """The custody hand-off invariant (``TRANSFER`` records, §2.2).
@@ -489,9 +489,7 @@ class Verifier:
             )
         if previous is None:
             return  # unreachable for a well-sequenced chain; R2 already fired
-        # A checkpoint seed names no author (see Checkpoint); the
-        # countersignature below still binds its checksum.
-        if previous.participant_id not in (None, transfer.from_participant):
+        if previous.participant_id != transfer.from_participant:
             failures.add(
                 "CUSTODY",
                 record.object_id,
@@ -534,7 +532,7 @@ class Verifier:
     def _resolve_predecessors(
         self,
         record: ProvenanceRecord,
-        previous: Optional[ProvenanceRecord],
+        previous: Union[ProvenanceRecord, Checkpoint, None],
         chains: Dict[str, List[ProvenanceRecord]],
         failures: _Failures,
     ) -> Optional[Sequence[bytes]]:
@@ -689,6 +687,66 @@ class Verifier:
         for chain in chains.values():
             chain.sort(key=lambda r: r.seq_id)
         return chains
+
+
+def verify_extension(
+    verifier: Verifier,
+    checkpoint: Checkpoint,
+    snapshot: SubtreeSnapshot,
+    new_records: Sequence[ProvenanceRecord],
+) -> VerificationReport:
+    """Verify a repeat delivery given a previously verified checkpoint.
+
+    A recipient who obtains the same object repeatedly (nightly drops,
+    subscription feeds) keeps the :class:`Checkpoint` of the last chain it
+    verified in full, and verifies later deliveries from there::
+
+        checkpoint = Checkpoint.of(chain)        # after a full verify
+        report = verify_extension(verifier, checkpoint, snapshot, records)
+
+    ``new_records`` are the records with ``seq_id > checkpoint.seq_id``
+    for the checkpointed object; records of other objects, and those at
+    or below the checkpoint, are ignored (senders may re-ship the full
+    chain).  The walk is :meth:`Verifier.verify_from`'s, seeded with the
+    checkpoint, so every record past it gets exactly the checks a full
+    verification would give it.  A delivery containing an aggregation
+    record is rejected with a failure instructing a full verification
+    (aggregations reach into other chains, which the checkpoint does not
+    summarise).
+    """
+    object_id = checkpoint.object_id
+    relevant = [
+        r
+        for r in new_records
+        if r.object_id == object_id and r.seq_id > checkpoint.seq_id
+    ]
+    failures = _Failures()
+    checked = 0
+    if any(r.operation is Operation.AGGREGATE for r in relevant):
+        failures.add(
+            "STRUCT",
+            object_id,
+            "extension contains an aggregation record; incremental "
+            "verification only covers linear extensions — run a full "
+            "verification",
+        )
+    else:
+        walked = verifier.verify_from(
+            relevant, {object_id: checkpoint}, observe=False
+        )
+        failures.items.extend(walked.failures)
+        checked = walked.records_checked
+        terminal = max(relevant, key=lambda r: r.seq_id, default=checkpoint)
+        verifier._check_data_matches_terminal(
+            snapshot, object_id, {object_id: [terminal]}, failures
+        )
+    return VerificationReport(
+        ok=not failures.items,
+        failures=tuple(failures.items),
+        records_checked=checked,
+        objects_checked=1,
+        target_id=object_id,
+    )
 
 
 # ---------------------------------------------------------------------------

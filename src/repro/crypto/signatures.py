@@ -389,8 +389,8 @@ def record_signature_valid(
     key, record, payload: bytes, root_cache: Optional[dict] = None
 ) -> bool:
     """Scheme-aware record checksum verification — the single dispatch
-    point of :class:`repro.core.verifier.Verifier`'s chain walk (full,
-    watermark-resumed and checkpoint-resumed alike).
+    point of :class:`repro.core.verifier.Verifier`'s chain walk (full, or
+    resumed from a ``Checkpoint`` by the monitor or a repeat recipient).
 
     For Merkle-batch records (scheme + attached proof) this checks leaf
     equality plus the inclusion proof against the signed root; for

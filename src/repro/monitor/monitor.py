@@ -1,21 +1,21 @@
 """Continuous provenance health monitoring (watermark-based).
 
 :class:`ProvenanceMonitor` periodically re-verifies a provenance store
-*incrementally*: for every object it persists a
-:class:`~repro.provenance.store.VerifiedWatermark` — how many leading
-records of the chain verified clean, anchored by the last covered
-record's ``(seq_id, checksum)`` — and each :meth:`~ProvenanceMonitor.tick`
-only walks the records past the watermark.  Correctness rests on two
-facts:
+*incrementally*: for every object it persists a verified watermark — the
+:class:`~repro.provenance.store.Checkpoint` of the chain prefix that
+verified clean, the same resume state a repeat recipient keeps — and
+each :meth:`~ProvenanceMonitor.tick` only walks the records past it
+(``Verifier.verify_from``).  Correctness rests on two facts:
 
 * A chain walk's only carried state is the ``previous`` record, so a
-  suffix walk seeded with the anchor record performs byte-identical
-  checks to the corresponding slice of a full walk
-  (``Verifier._check_chain``).
-* The anchor is re-validated against the live chain before any skip is
-  trusted.  A missing anchor, a changed anchor checksum, or a chain
-  shorter than its watermark means history was rewritten behind the
-  monitor — that chain is re-verified from scratch and a
+  walk seeded with the checkpoint performs byte-identical checks to the
+  corresponding slice of a full walk (``Verifier._check_chain``).
+* The checkpoint is re-validated against the live chain before it is
+  trusted: the *anchor* record at position ``index - 1`` must still hold
+  every field the checkpoint supplies to the walk as its seed
+  (``seq_id``, ``checksum``, ``participant_id``, ``output.digest``).  A missing or changed anchor,
+  or a chain shorter than its watermark, means history was rewritten
+  behind the monitor — that chain is re-verified from scratch and a
   ``watermark-regression`` alert fires (unless crash recovery rewound
   the watermark first; see ``RecoveryScanner._rewind_watermarks``).
 
@@ -50,7 +50,7 @@ from repro.exceptions import ProvenanceError
 from repro.monitor.alerts import Alert, AlertRule, TickContext, default_rules
 from repro.obs import OBS
 from repro.provenance.records import ProvenanceRecord
-from repro.provenance.store import VerifiedWatermark
+from repro.provenance.store import Checkpoint
 
 __all__ = ["TickResult", "ProvenanceMonitor"]
 
@@ -215,7 +215,7 @@ class ProvenanceMonitor:
 
         if not full and self._idle_fast_path_ok(watermarks):
             return self._finish_tick(
-                mode="idle", chains={}, skip={},
+                mode="idle", chains={},
                 records_total=len(self.store), verified=0, skipped=len(self.store),
                 objects_verified=0, advanced=(), log=log,
                 watermarks=watermarks,
@@ -228,18 +228,20 @@ class ProvenanceMonitor:
         for chain in chains.values():
             chain.sort(key=lambda r: r.seq_id)
 
-        skip, fresh_regressions = self._compute_skip(chains, watermarks, full)
+        checkpoints, fresh_regressions = self._trusted_checkpoints(
+            chains, watermarks, full
+        )
         for oid, reason in fresh_regressions:
             self._regressions.setdefault(oid, reason)
-        skipped = sum(min(skip.get(oid, 0), len(chain)) for oid, chain in chains.items())
+        skipped = sum(cp.index for cp in checkpoints.values())
 
-        if full or all(v == 0 for v in skip.values()):
+        if not checkpoints:
             # Cold/full pass: route through the (possibly parallel)
             # whole-chain verifier.
             report = self.verifier.verify_records(records)
             mode = "full" if full else "cold"
         else:
-            report = self.verifier.verify_incremental(records, skip)
+            report = self.verifier.verify_from(records, checkpoints)
             mode = "incremental"
 
         by_object: Dict[str, List[VerificationFailure]] = {}
@@ -250,18 +252,17 @@ class ProvenanceMonitor:
         # authoritative failure list for that chain comes from a full
         # re-walk, so accumulated failures stay byte-identical to a
         # one-shot full verify.
-        suspects = sorted(
-            oid for oid in by_object if 0 < skip.get(oid, 0) < len(chains.get(oid, ()))
-        )
+        suspects = sorted(oid for oid in by_object if oid in checkpoints)
         if suspects:
-            re_skip = {
-                oid: (0 if oid in suspects else len(chain))
+            settled = {
+                oid: Checkpoint.of(chain)
                 for oid, chain in chains.items()
+                if oid not in suspects
             }
             # observe=False: this is the diagnosis half of the same
             # logical pass — observing it would double-count failures.
-            re_report = self.verifier.verify_incremental(
-                records, re_skip, observe=False
+            re_report = self.verifier.verify_from(
+                records, settled, observe=False
             )
             re_by_object: Dict[str, List[VerificationFailure]] = {}
             for failure in re_report.failures:
@@ -283,13 +284,13 @@ class ProvenanceMonitor:
                 # (internally consistent) rewritten chain would silently
                 # accept the tampered history.
                 continue
-            tail = chain[-1]
-            watermark = VerifiedWatermark(
-                object_id=oid, index=len(chain),
-                seq_id=tail.seq_id, checksum=tail.checksum,
-            )
+            trusted = checkpoints.get(oid)
+            if trusted is not None and trusted.index == len(chain):
+                continue  # already watermarked at the tail
+            watermark = Checkpoint.of(chain)
             if watermarks.get(oid) != watermark:
                 self.store.set_watermark(watermark)
+                watermarks[oid] = watermark
                 advanced.append(oid)
                 if log is not None:
                     log.emit(
@@ -304,17 +305,17 @@ class ProvenanceMonitor:
                 del self._failures[oid]
 
         return self._finish_tick(
-            mode=mode, chains=chains, skip=skip,
+            mode=mode, chains=chains,
             records_total=len(records), verified=report.records_checked,
             skipped=skipped, objects_verified=report.objects_checked,
-            advanced=tuple(advanced), log=log, watermarks=None,
+            advanced=tuple(advanced), log=log, watermarks=watermarks,
         )
 
     # ------------------------------------------------------------------
     # tick helpers
     # ------------------------------------------------------------------
 
-    def _idle_fast_path_ok(self, watermarks: Dict[str, VerifiedWatermark]) -> bool:
+    def _idle_fast_path_ok(self, watermarks: Dict[str, Checkpoint]) -> bool:
         """True when the store provably matches the verified state.
 
         Conditions: every object with records has a watermark, the total
@@ -336,13 +337,18 @@ class ProvenanceMonitor:
                 return False
         return True
 
-    def _compute_skip(
+    def _trusted_checkpoints(
         self,
         chains: Dict[str, List[ProvenanceRecord]],
-        watermarks: Dict[str, VerifiedWatermark],
+        watermarks: Dict[str, Checkpoint],
         full: bool,
-    ) -> Tuple[Dict[str, int], Tuple[Tuple[str, str], ...]]:
+    ) -> Tuple[Dict[str, Checkpoint], Tuple[Tuple[str, str], ...]]:
         """Validate each watermark anchor; invalid ones become regressions.
+
+        Returns the checkpoints this tick may resume from.  The anchor
+        record at ``index - 1`` must still hold every field the watermark
+        supplies to the walk as its seed, or a suffix walk seeded from the
+        stored watermark would miss an edit the full walk sees.
 
         Anchors are validated even on a full pass — a full scan verifies
         *content* but cannot see *removal* (a truncated chain is shorter
@@ -358,12 +364,11 @@ class ProvenanceMonitor:
         applied to skipping.  Its failures only change when a fresh full
         walk of that chain replaces (or clears) them.
         """
-        skip: Dict[str, int] = {}
+        trusted: Dict[str, Checkpoint] = {}
         regressions: List[Tuple[str, str]] = []
         for oid in sorted(chains):
             chain = chains[oid]
             wm = watermarks.get(oid)
-            skip[oid] = 0
             if wm is None:
                 continue
             if wm.index <= 0:
@@ -381,7 +386,10 @@ class ProvenanceMonitor:
                 ))
                 continue
             anchor = chain[wm.index - 1]
-            if anchor.seq_id != wm.seq_id or anchor.checksum != wm.checksum:
+            if (
+                anchor.seq_id, anchor.checksum,
+                anchor.participant_id, anchor.output.digest,
+            ) != (wm.seq_id, wm.checksum, wm.participant_id, wm.output_digest):
                 regressions.append((
                     oid,
                     f"anchor record at position {wm.index - 1} changed "
@@ -389,14 +397,14 @@ class ProvenanceMonitor:
                 ))
                 continue
             if not full and oid not in self._failures:
-                skip[oid] = wm.index
+                trusted[oid] = wm
         for oid in sorted(watermarks):
             if oid not in chains:
                 regressions.append((oid, "chain is gone but its watermark remains"))
-        return skip, tuple(regressions)
+        return trusted, tuple(regressions)
 
     def _finish_tick(
-        self, mode, chains, skip, records_total, verified,
+        self, mode, chains, records_total, verified,
         skipped, objects_verified, advanced, log, watermarks,
     ) -> TickResult:
         regressions = tuple(sorted(self._regressions.items()))
@@ -455,16 +463,12 @@ class ProvenanceMonitor:
 
         return check_anchors(self.store, self.witness_log, self.witness_verifier)
 
-    def _lag_records(self, chains, watermarks) -> int:
-        """Records past the watermarks *after* the tick's advances."""
-        if not chains:
-            return 0
+    @staticmethod
+    def _lag_records(chains, watermarks) -> int:
+        """Records past ``watermarks`` (the tick's, after its advances)."""
         lag = 0
         for oid, chain in chains.items():
-            wm = (
-                watermarks.get(oid) if watermarks is not None
-                else self.store.get_watermark(oid)
-            )
+            wm = watermarks.get(oid)
             covered = min(wm.index, len(chain)) if wm is not None else 0
             lag += len(chain) - covered
         return lag

@@ -23,19 +23,25 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
 
 from repro import obs
-from repro.exceptions import BackendError, ProvenanceError, SequenceError
+from repro.exceptions import (
+    BackendError,
+    ProvenanceError,
+    SequenceError,
+    VerificationError,
+)
 from repro.obs import OBS
-from repro.provenance.records import ProvenanceRecord
+from repro.provenance.records import ObjectState, ProvenanceRecord
 
 __all__ = [
     "ProvenanceStore",
     "BatchJournalEntry",
-    "VerifiedWatermark",
+    "Checkpoint",
     "InMemoryProvenanceStore",
     "SQLiteProvenanceStore",
 ]
@@ -101,30 +107,113 @@ ChainTail = Tuple[int, bytes]
 
 
 @dataclass(frozen=True)
-class VerifiedWatermark:
-    """How far an object's chain has been verified (monitor state).
+class Checkpoint:
+    """Summary of a verified chain prefix: where a chain walk resumes.
 
-    ``index`` counts the chain's covered *prefix* (records, not seq ids —
-    seq ids may skip after deletions of other objects but a chain's
-    record list is dense); ``seq_id``/``checksum`` identify the last
-    covered record, the *anchor* an incremental verify re-validates
-    before trusting the prefix.  See ``repro.monitor`` and DESIGN.md §9
-    for why an anchor mismatch must force a full re-verify rather than
-    be repaired in place.
+    The chain argument of §3 makes this exactly as strong as re-verifying
+    the prefix: the last covered checksum is signed into every later
+    record.  ``index`` counts the covered records (positions, not seq ids
+    — an aggregate-created chain starts at ``max(input) + 1``).  The other
+    fields are those of the last covered record, which the verifier's walk
+    reads from the record before its first one: ``seq_id``, ``checksum``,
+    ``output_digest``, and ``participant_id`` (the outgoing custodian a
+    hand-off right after the checkpoint must name).
+
+    Recipients keep one between deliveries (``verify_extension``); the
+    monitor persists one per object in the store as its verified
+    watermark and re-validates it against the live chain before trusting
+    it (see ``repro.monitor`` and DESIGN.md §9).
     """
 
     object_id: str
     index: int
     seq_id: int
+    participant_id: str
+    output_digest: bytes
     checksum: bytes
+    hash_algorithm: str
+
+    @property
+    def output(self) -> ObjectState:
+        """The verified terminal state."""
+        return ObjectState(self.object_id, self.output_digest)
+
+    @classmethod
+    def of(cls, chain: Sequence[ProvenanceRecord]) -> "Checkpoint":
+        """Checkpoint covering all of ``chain`` (one object, seq-sorted).
+
+        The caller must have *verified* the chain; this only summarises it.
+
+        Raises:
+            VerificationError: If the chain is empty.
+        """
+        if not chain:
+            raise VerificationError("no records to checkpoint")
+        tail = chain[-1]
+        return cls(
+            object_id=tail.object_id,
+            index=len(chain),
+            seq_id=tail.seq_id,
+            participant_id=tail.participant_id,
+            output_digest=tail.output.digest,
+            checksum=tail.checksum,
+            hash_algorithm=tail.hash_algorithm,
+        )
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "object_id": self.object_id,
             "index": self.index,
             "seq_id": self.seq_id,
+            "participant_id": self.participant_id,
+            "output_digest": self.output_digest.hex(),
             "checksum": self.checksum.hex(),
+            "hash_algorithm": self.hash_algorithm,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "Checkpoint":
+        """Inverse of :meth:`to_dict`.
+
+        Raises:
+            VerificationError: On a missing or malformed field, an index
+                below 1 or a negative seq id.
+        """
+        try:
+            checkpoint = cls(
+                object_id=str(data["object_id"]),
+                index=int(data["index"]),
+                seq_id=int(data["seq_id"]),
+                participant_id=str(data["participant_id"]),
+                output_digest=bytes.fromhex(data["output_digest"]),
+                checksum=bytes.fromhex(data["checksum"]),
+                hash_algorithm=str(data["hash_algorithm"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise VerificationError(f"malformed checkpoint: {exc}") from exc
+        if checkpoint.index < 1 or checkpoint.seq_id < 0:
+            raise VerificationError(
+                f"malformed checkpoint: index {checkpoint.index} must be at "
+                f"least 1 and seq {checkpoint.seq_id} non-negative"
+            )
+        return checkpoint
+
+    def to_json(self) -> str:
+        """Serialize (recipients persist checkpoints between deliveries)."""
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_json(cls, blob: str) -> "Checkpoint":
+        """Inverse of :meth:`to_json`.
+
+        Raises:
+            VerificationError: On malformed input.
+        """
+        try:
+            data = json.loads(blob)
+        except (TypeError, ValueError) as exc:
+            raise VerificationError(f"malformed checkpoint: {exc}") from exc
+        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -184,7 +273,7 @@ class InMemoryProvenanceStore:
         self._space = 0
         self._journal: Dict[int, BatchJournalEntry] = {}
         self._next_batch_id = 1
-        self._watermarks: Dict[str, VerifiedWatermark] = {}
+        self._watermarks: Dict[str, Checkpoint] = {}
 
     def append(self, record: ProvenanceRecord) -> None:
         with obs.phase("store.io"):
@@ -280,18 +369,18 @@ class InMemoryProvenanceStore:
         self._journal.pop(batch_id, None)
 
     # ------------------------------------------------------------------
-    # verified watermarks (monitor state; see VerifiedWatermark)
+    # verified watermarks (monitor state; see Checkpoint)
     # ------------------------------------------------------------------
 
-    def set_watermark(self, watermark: VerifiedWatermark) -> None:
+    def set_watermark(self, watermark: Checkpoint) -> None:
         """Persist one object's verified watermark (upsert)."""
         self._watermarks[watermark.object_id] = watermark
 
-    def get_watermark(self, object_id: str) -> Optional[VerifiedWatermark]:
+    def get_watermark(self, object_id: str) -> Optional[Checkpoint]:
         """The object's verified watermark, or None."""
         return self._watermarks.get(object_id)
 
-    def watermarks(self) -> Tuple[VerifiedWatermark, ...]:
+    def watermarks(self) -> Tuple[Checkpoint, ...]:
         """All watermarks, sorted by object id."""
         return tuple(self._watermarks[k] for k in sorted(self._watermarks))
 
@@ -370,17 +459,24 @@ class SQLiteProvenanceStore:
         keys      TEXT NOT NULL,
         committed INTEGER NOT NULL
     );
-    -- Verified watermarks: the monitor's per-object incremental-verify
-    -- state (covered prefix length + last-good anchor).  Kept in the
+    -- Verified watermarks: the monitor's per-object Checkpoint (covered
+    -- prefix length + the last covered record's fields).  Kept in the
     -- store so a restarted monitor resumes where it left off; recovery
     -- truncation rewinds affected rows (see repro.faults.recovery).
     CREATE TABLE IF NOT EXISTS watermarks (
-        object_id TEXT PRIMARY KEY,
-        idx       INTEGER NOT NULL,
-        seq_id    INTEGER NOT NULL,
-        checksum  BLOB NOT NULL
+        object_id      TEXT PRIMARY KEY,
+        idx            INTEGER NOT NULL,
+        seq_id         INTEGER NOT NULL,
+        participant    TEXT NOT NULL,
+        output_digest  BLOB NOT NULL,
+        checksum       BLOB NOT NULL,
+        hash_algorithm TEXT NOT NULL
     );
     """
+    _WATERMARK_COLUMNS = (
+        "object_id", "idx", "seq_id", "participant", "output_digest",
+        "checksum", "hash_algorithm",
+    )
 
     def __init__(self, path: str = ":memory:"):
         try:
@@ -394,6 +490,19 @@ class SQLiteProvenanceStore:
         except sqlite3.Error as exc:
             raise BackendError(f"cannot open provenance database {path!r}: {exc}") from exc
         self._conn.executescript(self._SCHEMA)
+        columns = tuple(
+            row[1] for row in self._conn.execute("PRAGMA table_info(watermarks)")
+        )
+        if columns != self._WATERMARK_COLUMNS:
+            # An older layout lacks fields the resume walk needs; dropping
+            # the table would silently discard sticky regression evidence.
+            self._conn.close()
+            raise ProvenanceError(
+                f"provenance database {path!r} has a watermarks table with "
+                f"columns {', '.join(columns)}; this version expects "
+                f"{', '.join(self._WATERMARK_COLUMNS)} — re-create the "
+                "store or drop the watermarks table to re-verify from scratch"
+            )
         # WAL keeps readers off the writer's back and makes commits an
         # append to the log; synchronous=OFF skips fsync — acceptable for
         # a provenance *cache* whose integrity is carried by the signed
@@ -642,48 +751,45 @@ class SQLiteProvenanceStore:
         self._conn.commit()
 
     # ------------------------------------------------------------------
-    # verified watermarks (monitor state; see VerifiedWatermark)
+    # verified watermarks (monitor state; see Checkpoint)
     # ------------------------------------------------------------------
 
-    def set_watermark(self, watermark: VerifiedWatermark) -> None:
+    def set_watermark(self, watermark: Checkpoint) -> None:
         """Persist one object's verified watermark (upsert)."""
         self._conn.execute(
-            "INSERT INTO watermarks(object_id, idx, seq_id, checksum)"
-            " VALUES (?, ?, ?, ?)"
-            " ON CONFLICT(object_id) DO UPDATE SET"
-            " idx = excluded.idx, seq_id = excluded.seq_id,"
-            " checksum = excluded.checksum",
+            "INSERT OR REPLACE INTO watermarks VALUES (?, ?, ?, ?, ?, ?, ?)",
             (watermark.object_id, watermark.index, watermark.seq_id,
-             watermark.checksum),
+             watermark.participant_id, watermark.output_digest,
+             watermark.checksum, watermark.hash_algorithm),
         )
         self._conn.commit()
 
-    def get_watermark(self, object_id: str) -> Optional[VerifiedWatermark]:
-        """The object's verified watermark, or None."""
-        row = self._conn.execute(
-            "SELECT idx, seq_id, checksum FROM watermarks WHERE object_id = ?",
-            (object_id,),
-        ).fetchone()
-        if row is None:
-            return None
-        return VerifiedWatermark(
-            object_id=object_id, index=row[0], seq_id=row[1],
-            checksum=bytes(row[2]),
+    _SELECT_WATERMARKS = (
+        "SELECT object_id, idx, seq_id, participant, output_digest,"
+        " checksum, hash_algorithm FROM watermarks"
+    )
+
+    @staticmethod
+    def _watermark_of(row) -> Checkpoint:
+        return Checkpoint(
+            object_id=row[0], index=row[1], seq_id=row[2],
+            participant_id=row[3], output_digest=bytes(row[4]),
+            checksum=bytes(row[5]), hash_algorithm=row[6],
         )
 
-    def watermarks(self) -> Tuple[VerifiedWatermark, ...]:
+    def get_watermark(self, object_id: str) -> Optional[Checkpoint]:
+        """The object's verified watermark, or None."""
+        row = self._conn.execute(
+            self._SELECT_WATERMARKS + " WHERE object_id = ?", (object_id,)
+        ).fetchone()
+        return None if row is None else self._watermark_of(row)
+
+    def watermarks(self) -> Tuple[Checkpoint, ...]:
         """All watermarks, sorted by object id."""
         rows = self._conn.execute(
-            "SELECT object_id, idx, seq_id, checksum FROM watermarks"
-            " ORDER BY object_id"
+            self._SELECT_WATERMARKS + " ORDER BY object_id"
         ).fetchall()
-        return tuple(
-            VerifiedWatermark(
-                object_id=row[0], index=row[1], seq_id=row[2],
-                checksum=bytes(row[3]),
-            )
-            for row in rows
-        )
+        return tuple(self._watermark_of(row) for row in rows)
 
     def clear_watermark(self, object_id: str) -> bool:
         """Drop one object's watermark; True if one existed."""

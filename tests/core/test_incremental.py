@@ -1,17 +1,18 @@
-"""Unit tests for incremental (checkpoint-based) verification."""
+"""Unit tests for resumed (checkpoint-based) verification."""
 
 import dataclasses
+import functools
 import json
 import random
 
 import pytest
 
-from repro.core.incremental import Checkpoint, verify_extension
+from repro.core import Checkpoint, verify_extension
 from repro.core.system import TamperEvidentDatabase
 from repro.core.verifier import Verifier
 from repro.exceptions import VerificationError
 from repro.provenance.snapshot import SubtreeSnapshot
-from repro.trust.custody import transfer_custody
+from repro.trust.custody import build_transfer_record
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def world(tedb, participants, keystore):
     verifier = Verifier(keystore)
     shipment = tedb.ship("feed")
     assert verifier.verify(shipment.snapshot, shipment.records, "feed").ok
-    checkpoint = Checkpoint.from_records("feed", shipment.records)
+    checkpoint = Checkpoint.of(shipment.records)
     return tedb, session, verifier, checkpoint
 
 
@@ -30,21 +31,38 @@ class TestCheckpoint:
     def test_from_records(self, world):
         _, _, _, checkpoint = world
         assert checkpoint.object_id == "feed"
+        assert checkpoint.index == 2
         assert checkpoint.seq_id == 1
+        assert checkpoint.participant_id == "p1"
 
     def test_no_records_rejected(self, world):
         with pytest.raises(VerificationError):
-            Checkpoint.from_records("ghost", ())
+            Checkpoint.of(())
 
     def test_json_roundtrip(self, world):
         _, _, _, checkpoint = world
         assert Checkpoint.from_json(checkpoint.to_json()) == checkpoint
 
-    def test_malformed_json_rejected(self):
-        with pytest.raises(VerificationError):
-            Checkpoint.from_json("{}")
-        with pytest.raises(VerificationError):
-            Checkpoint.from_json("not json")
+    def test_malformed_json_rejected(self, world):
+        _, _, _, checkpoint = world
+        good = json.loads(checkpoint.to_json())
+        # The format before checkpoints carried an index and an author.
+        old_format = {
+            k: v for k, v in good.items() if k not in ("index", "participant_id")
+        }
+        for blob in (
+            "{}",
+            "not json",
+            "[]",
+            "null",
+            json.dumps(old_format),
+            json.dumps({**good, "index": 0}),
+            json.dumps({**good, "seq_id": -1}),
+            json.dumps({**good, "checksum": "zz"}),
+            json.dumps({**good, "index": "many"}),
+        ):
+            with pytest.raises(VerificationError, match="malformed checkpoint"):
+                Checkpoint.from_json(blob)
 
 
 class TestVerifyExtension:
@@ -183,9 +201,7 @@ class TestVerifyExtension:
         snapshot, records = self._delivery(db, checkpoint)
         assert verify_extension(verifier, checkpoint, snapshot, records).ok
         # Recipient rolls the checkpoint forward and verifies the next drop.
-        new_checkpoint = Checkpoint.from_records(
-            "feed", list(db.provenance_of("feed"))
-        )
+        new_checkpoint = Checkpoint.of(db.provenance_of("feed"))
         session.update("feed", 4)
         snapshot2, records2 = self._delivery(db, new_checkpoint)
         report = verify_extension(verifier, new_checkpoint, snapshot2, records2)
@@ -198,15 +214,20 @@ class TestVerifyExtension:
 # ---------------------------------------------------------------------------
 
 
-def _custody_world(tedb, participants, keystore):
-    """feed: p1 inserts and updates (checkpointed at seq 1), hands custody
-    to p2 right at the seam (seq 2), and p2 updates twice (seq 3, 4)."""
+def _custody_world(tedb, participants, keystore, outgoing="p1"):
+    """feed: p1 inserts and updates (checkpointed at seq 1), ``outgoing``
+    hands custody to p2 right at the seam (seq 2), and p2 updates twice
+    (seq 3, 4).  Only p1, the seam record's author, may hand off."""
     p1, p2 = participants["p1"], participants["p2"]
     first = tedb.session(p1)
     first.insert("feed", 1)
     first.update("feed", 2)
-    checkpoint = Checkpoint.from_records("feed", tedb.provenance_of("feed"))
-    transfer_custody(tedb.provenance_store, "feed", p1, p2)
+    checkpoint = Checkpoint.of(tedb.provenance_of("feed"))
+    previous = tedb.provenance_store.latest("feed")
+    tedb.provenance_store.append_many([build_transfer_record(
+        dataclasses.replace(previous, participant_id=outgoing),
+        participants[outgoing], p2,
+    )])
     second = tedb.session(p2)
     second.update("feed", 3)
     second.update("feed", 4)
@@ -234,7 +255,7 @@ def _merkle_proof_epoch(tedb, participants, keystore):
     session = db.session(db.enroll("writer"))
     session.insert("x", 1)
     session.update("x", 2)
-    checkpoint = Checkpoint.from_records("x", db.provenance_of("x"))
+    checkpoint = Checkpoint.of(db.provenance_of("x"))
     session.update("x", 3)
     records = list(db.provenance_of("x"))
     tail = records[-1]
@@ -247,6 +268,9 @@ def _merkle_proof_epoch(tedb, participants, keystore):
 
 CASES = {
     "clean": _custody_world,
+    # p3 countersigns a hand-off of a chain p1 authored, right after the
+    # checkpoint: only the checkpoint's author reveals the mismatch.
+    "colluding-seam-handoff": functools.partial(_custody_world, outgoing="p3"),
     "inline-value": _tampered(
         3, lambda r: dataclasses.replace(
             r, output=dataclasses.replace(r.output, value=999)

@@ -238,7 +238,7 @@ def test_proofs_survive_store_and_shipment_roundtrips(tmp_path):
 
 
 def test_incremental_verification_accepts_merkle_extensions():
-    from repro.core.incremental import Checkpoint, verify_extension
+    from repro.core import Checkpoint, verify_extension
     from repro.core.system import TamperEvidentDatabase
     from repro.core.verifier import Verifier
     from repro.provenance.snapshot import SubtreeSnapshot
@@ -252,7 +252,7 @@ def test_incremental_verification_accepts_merkle_extensions():
     records = list(db.provenance_of("x"))
     verifier = Verifier(db.keystore())
     assert verifier.verify_records(records).ok
-    checkpoint = Checkpoint.from_records("x", records)
+    checkpoint = Checkpoint.of(records)
     session.update("x", 3)
     new_records = list(db.provenance_of("x"))
     snapshot = SubtreeSnapshot.capture(db.store, "x")

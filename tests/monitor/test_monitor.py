@@ -18,7 +18,7 @@ from repro.monitor import (
     WatermarkRegressionRule,
     default_rules,
 )
-from repro.provenance.store import InMemoryProvenanceStore, VerifiedWatermark
+from repro.provenance.store import Checkpoint, InMemoryProvenanceStore
 
 
 def _grow(tedb, participants, objects=3, updates=2):
@@ -227,15 +227,41 @@ class TestTamperDetection:
         # silently; it must be flagged as malformed instead.
         tedb, _, monitor = monitored
         store = tedb.provenance_store
-        tail = store.records_for("obj0")[-1]
-        store.set_watermark(
-            VerifiedWatermark("obj0", 0, tail.seq_id, tail.checksum)
-        )
+        checkpoint = Checkpoint.of(store.records_for("obj0"))
+        store.set_watermark(dataclasses.replace(checkpoint, index=0))
         result = monitor.tick()
         assert result.health == "tampered"
         assert any(
             "malformed watermark" in reason for _, reason in result.regressions
         )
+
+    def test_anchor_seed_edit_is_regression(self, monitored):
+        # The suffix walk is seeded from the watermark, so the anchor
+        # check must compare every field the seed supplies: an edit of
+        # the anchor record's output digest (checksum intact) followed by
+        # an append must not let the suffix walk chain to the stored,
+        # unedited digest.
+        from repro.core.verifier import Verifier
+
+        tedb, session, monitor = monitored
+        monitor.tick()
+        session.update("obj1", 999)
+        store = tedb.provenance_store
+        chain = store._chains["obj1"]
+        anchor = store.get_watermark("obj1").index - 1
+        victim = chain[anchor]
+        chain[anchor] = dataclasses.replace(
+            victim,
+            output=dataclasses.replace(
+                victim.output, digest=b"\x00" * len(victim.output.digest)
+            ),
+        )
+        result = monitor.tick()
+        assert result.mode == "incremental"
+        assert result.health == "tampered"
+        assert any(a.rule == "watermark-regression" for a in result.alerts)
+        full = Verifier(tedb.keystore()).verify_records(list(store.all_records()))
+        assert monitor.accumulated_failures() == tuple(full.failures)
 
     def test_covered_payload_forgery_needs_full_scan(self, monitored):
         # The documented watermark blind spot: an in-place edit of a
@@ -465,7 +491,9 @@ class TestEmptyStore:
 
     def test_stale_watermark_without_chain_is_regression(self, keystore):
         store = InMemoryProvenanceStore()
-        store.set_watermark(VerifiedWatermark("ghost", 3, 2, b"\x01"))
+        store.set_watermark(
+            Checkpoint("ghost", 3, 2, "p1", b"\x02", b"\x01", "sha1")
+        )
         monitor = ProvenanceMonitor(store, keystore)
         result = monitor.tick()
         assert result.health == "tampered"

@@ -8,9 +8,9 @@ from repro.exceptions import ProvenanceError
 from repro.provenance.records import Operation
 from repro.provenance.registry import open_tenant_store, tenant_dir
 from repro.provenance.store import (
+    Checkpoint,
     InMemoryProvenanceStore,
     SQLiteProvenanceStore,
-    VerifiedWatermark,
 )
 
 from tests.provenance.test_store import record_for
@@ -32,17 +32,51 @@ class TestTenantStore:
         assert store.purge_object("A") == 1
         assert store.object_ids() == ()
 
-    def test_watermark_surface(self, store):
+    def test_watermark_surface(self, store, tmp_path):
         objects = ["w0", "w1", "w2", "w3"]
-        for oid in reversed(objects):
+        written = {}
+        for i, oid in reversed(list(enumerate(objects))):
             store.append(record_for(oid, 0, operation=Operation.INSERT))
-            store.set_watermark(VerifiedWatermark(
-                object_id=oid, index=1, seq_id=0, checksum=b"\xcd" * 64,
-            ))
-        assert [wm.object_id for wm in store.watermarks()] == objects
-        assert store.get_watermark("w0").index == 1
-        assert store.clear_watermark("w0")
-        assert store.get_watermark("w0") is None
+            written[oid] = Checkpoint(
+                object_id=oid, index=3 + i, seq_id=7 + i,
+                participant_id=f"author-{i}", output_digest=bytes([i]) * 32,
+                checksum=bytes([0xC0 + i]) * 64, hash_algorithm="sha256",
+            )
+            store.set_watermark(written[oid])
+        if isinstance(store, SQLiteProvenanceStore):
+            store.close()
+            store = open_tenant_store(str(tmp_path), "t1")
+        try:
+            assert store.watermarks() == tuple(written[oid] for oid in objects)
+            assert store.get_watermark("w1") == written["w1"]
+            assert store.clear_watermark("w0")
+            assert store.get_watermark("w0") is None
+        finally:
+            if isinstance(store, SQLiteProvenanceStore):
+                store.close()
+
+
+def test_old_watermark_layout_refused(tmp_path):
+    """A store written before watermarks carried the full checkpoint is
+    refused, not migrated: dropping its rows would discard sticky
+    regression evidence."""
+    import sqlite3
+
+    path = str(tmp_path / "provenance.sqlite")
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "CREATE TABLE watermarks (object_id TEXT PRIMARY KEY,"
+        " idx INTEGER NOT NULL, seq_id INTEGER NOT NULL,"
+        " checksum BLOB NOT NULL)"
+    )
+    conn.execute("INSERT INTO watermarks VALUES ('A', 1, 0, x'cd')")
+    conn.commit()
+    conn.close()
+    with pytest.raises(ProvenanceError, match="watermarks table"):
+        SQLiteProvenanceStore(path)
+    conn = sqlite3.connect(path)
+    assert conn.execute("SELECT COUNT(*) FROM watermarks").fetchone() == (1,)
+    conn.close()
 
 
 class TestTenantLayout:
